@@ -12,18 +12,15 @@ items touched, each priced by the CPU cost model.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 from .._validation import check_support
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
 from ..obs import mining_run, span
-from ..trie.generation import generate_candidates
 from ..trie.hashtrie import HashTrie, HashTrieCounters
-from ..trie.trie import CandidateTrie
 from ..core.itemset import MiningResult, RunMetrics
+from ..core.levelwise import levelwise
 
 __all__ = ["bodon_mine"]
 
@@ -37,28 +34,15 @@ def bodon_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     cost = CpuCostModel()
 
     with mining_run("bodon", metrics):
-        trie = CandidateTrie()
-        found: Dict[Tuple[int, ...], int] = {}
-
-        # Generation 1: one vectorized scan (Bodon counts items in an array).
-        item_supports = db.item_supports()
-        metrics.generations.append(db.n_items)
-        metrics.add_counter("items_scanned", int(db.items_flat.size))
-        metrics.add_modeled("cpu_scan", cost.scan_time(int(db.items_flat.size)))
-        for item in np.nonzero(item_supports >= min_count)[0]:
-            trie.insert((int(item),), int(item_supports[item]))
-            found[(int(item),)] = int(item_supports[item])
-
-        k = 1
-        while True:
-            if max_k is not None and k >= max_k:
-                break
-            cands = generate_candidates(trie, k)
-            if cands.shape[0] == 0:
-                break
-            metrics.generations.append(int(cands.shape[0]))
-            with span("count", candidates=int(cands.shape[0]), k=k + 1):
-                counter_trie = HashTrie(tuple(int(x) for x in row) for row in cands)
+        def count(cands: np.ndarray, parents) -> np.ndarray:
+            if parents is None:
+                # Generation 1: one vectorized scan (Bodon counts items in an array).
+                scanned = int(db.items_flat.size)
+                metrics.add_counter("items_scanned", scanned)
+                metrics.add_modeled("cpu_scan", cost.scan_time(scanned))
+                return db.item_supports()
+            with span("count", candidates=int(cands.shape[0]), k=int(cands.shape[1])):
+                counter_trie = HashTrie(map(tuple, cands.tolist()))
                 counters = HashTrieCounters()
                 counter_trie.count_database(db, counters)
                 metrics.add_counter("trie_node_visits", counters.node_visits)
@@ -67,11 +51,9 @@ def bodon_mine(db, min_support, max_k: int | None = None) -> MiningResult:
                 metrics.add_counter("candidates_counted", int(cands.shape[0]))
                 metrics.add_modeled("cpu_trie", cost.trie_time(counters.node_visits))
                 metrics.add_modeled("cpu_hash", cost.hash_time(counters.hash_probes))
-            for key, support in counter_trie.supports():
-                trie.find(key).support = support
-                if support >= min_count:
-                    found[key] = support
-            trie.prune_level(k + 1, min_count)
-            k += 1
+            # HashTrie reports in lexicographic order, the candidates' order.
+            return np.array([c for _, c in counter_trie.supports()], dtype=np.int64)
+
+        found = levelwise(db.n_items, min_count, count, metrics, max_k)
 
     return MiningResult(found, db.n_transactions, min_count, metrics)

@@ -4,7 +4,7 @@ The paper describes Borgelt's implementation (FIMI 2003, ref. [7]) as a
 "state-of-the-art" CPU Apriori using the vertical tidset layout with
 recursion pruning. The strategy reproduced here:
 
-* candidates live in the shared trie and are generated by the
+* candidates come from the shared level-wise driver and its
   leaf/sibling join (identical to GPApriori — the *counting* differs);
 * each frequent itemset carries its materialized tidset; a candidate's
   tidset is the intersection of its (k-1)-prefix tidset with the added
@@ -17,7 +17,7 @@ recursion pruning. The strategy reproduced here:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from ..bitset.tidset import TidsetTable, intersect_tidsets
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
 from ..obs import mining_run, span
-from ..trie.generation import generate_candidates
-from ..trie.trie import CandidateTrie
 from ..core.itemset import MiningResult, RunMetrics
+from ..core.levelwise import levelwise
 
 __all__ = ["borgelt_mine"]
 
@@ -44,52 +43,36 @@ def borgelt_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     with mining_run("borgelt", metrics):
         with span("tidset_build"):
             table = TidsetTable.from_database(db)
-        trie = CandidateTrie()
-        found: Dict[Tuple[int, ...], int] = {}
-        # Materialized tidsets of the current frequent generation.
-        tidsets: Dict[Tuple[int, ...], np.ndarray] = {}
+        # Materialized tidsets of the current level's rows, in level order.
+        tidsets: List[np.ndarray] = []
+        pending: List[np.ndarray] = []
 
-        metrics.generations.append(db.n_items)
-        for item in range(db.n_items):
-            t = table.tidset(item)
-            metrics.add_counter("tidset_elements_scanned", int(t.size))
-            if t.size >= min_count:
-                trie.insert((item,), int(t.size))
-                found[(item,)] = int(t.size)
-                tidsets[(item,)] = t
-        metrics.add_modeled(
-            "cpu_tidset",
-            cost.tidset_time(metrics.counters.get("tidset_elements_scanned", 0)),
-        )
-
-        k = 1
-        while tidsets:
-            if max_k is not None and k >= max_k:
-                break
-            cands = generate_candidates(trie, k)
-            if cands.shape[0] == 0:
-                break
-            metrics.generations.append(int(cands.shape[0]))
-            with span("count", candidates=int(cands.shape[0]), k=k + 1):
-                next_tidsets: Dict[Tuple[int, ...], np.ndarray] = {}
+        def count(cands: np.ndarray, parents) -> np.ndarray:
+            nonlocal pending
+            if parents is None:
+                pending = [table.tidset(item) for item in range(db.n_items)]
+                scanned = sum(int(t.size) for t in pending)
+                metrics.add_counter("tidset_elements_scanned", scanned)
+                metrics.add_modeled("cpu_tidset", cost.tidset_time(scanned))
+                return np.array([t.size for t in pending], dtype=np.int64)
+            with span("count", candidates=int(cands.shape[0]), k=int(cands.shape[1])):
+                pending = []
                 merge_steps = 0
-                for row in cands:
-                    key = tuple(int(x) for x in row)
-                    prefix_tids = tidsets[key[:-1]]
-                    item_tids = table.tidset(key[-1])
+                for parent, item in zip(parents.tolist(), cands[:, -1].tolist()):
+                    prefix_tids = tidsets[parent]
+                    item_tids = table.tidset(item)
                     # A two-pointer merge inspects at most len(a)+len(b) elements.
                     merge_steps += int(prefix_tids.size + item_tids.size)
-                    inter = intersect_tidsets(prefix_tids, item_tids)
-                    support = int(inter.size)
-                    trie.find(key).support = support
-                    if support >= min_count:
-                        next_tidsets[key] = inter
-                        found[key] = support
+                    pending.append(intersect_tidsets(prefix_tids, item_tids))
                 metrics.add_counter("tidset_merge_steps", merge_steps)
                 metrics.add_counter("candidates_counted", int(cands.shape[0]))
                 metrics.add_modeled("cpu_tidset", cost.tidset_time(merge_steps))
-            trie.prune_level(k + 1, min_count)
-            tidsets = next_tidsets
-            k += 1
+            return np.array([t.size for t in pending], dtype=np.int64)
+
+        def retain(cands: np.ndarray, frequent: np.ndarray) -> None:
+            nonlocal tidsets
+            tidsets = [pending[i] for i in np.flatnonzero(frequent).tolist()]
+
+        found = levelwise(db.n_items, min_count, count, metrics, max_k, retain)
 
     return MiningResult(found, db.n_transactions, min_count, metrics)

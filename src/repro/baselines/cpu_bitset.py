@@ -3,9 +3,10 @@
 The paper's Table 1 includes "CPU_TEST — single thread CPU", the
 equivalent CPU code whose ratio to GPApriori isolates the GPU's
 contribution (10x on chess, 50-80x on accidents). This module is that
-equivalent: identical trie candidate generation, identical static
-bitset layout, identical complete-intersection counting — with the
-operation counts priced by the *CPU* cost model instead of the GPU one.
+equivalent: the same level-wise driver and candidate generation,
+identical static bitset layout, identical complete-intersection
+counting — with the operation counts priced by the *CPU* cost model
+instead of the GPU one.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from ..bitset.ops import support_many
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
 from ..obs import mining_run, span
-from ..trie.generation import generate_candidates
-from ..trie.trie import CandidateTrie
 from ..core.itemset import MiningResult, RunMetrics
+from ..core.levelwise import levelwise
 
 __all__ = ["cpu_bitset_mine"]
 
@@ -41,10 +41,8 @@ def cpu_bitset_mine(db, min_support, max_k: int | None = None) -> MiningResult:
         with span("transpose"):
             matrix = BitsetMatrix.from_database(db, aligned=True)
         n_words = matrix.n_words
-        trie = CandidateTrie()
-        found: dict[tuple, int] = {}
 
-        def count(cands: np.ndarray) -> np.ndarray:
+        def count(cands: np.ndarray, parents) -> np.ndarray:
             with span("count", candidates=int(cands.shape[0]), k=int(cands.shape[1])):
                 supports = support_many(matrix, cands)
                 words = int(cands.shape[0]) * int(cands.shape[1]) * n_words
@@ -53,27 +51,6 @@ def cpu_bitset_mine(db, min_support, max_k: int | None = None) -> MiningResult:
                 metrics.add_modeled("cpu_bitset", cost.bitset_time(words))
             return supports
 
-        cands = np.arange(db.n_items, dtype=np.int32).reshape(-1, 1)
-        metrics.generations.append(db.n_items)
-        supports = count(cands)
-        for i in np.nonzero(supports >= min_count)[0]:
-            trie.insert((int(i),), int(supports[i]))
-            found[(int(i),)] = int(supports[i])
-
-        k = 1
-        while True:
-            if max_k is not None and k >= max_k:
-                break
-            cands = generate_candidates(trie, k)
-            if cands.shape[0] == 0:
-                break
-            metrics.generations.append(int(cands.shape[0]))
-            supports = count(cands)
-            for i, row in enumerate(cands):
-                trie.find(row.tolist()).support = int(supports[i])
-            trie.prune_level(k + 1, min_count)
-            for i in np.nonzero(supports >= min_count)[0]:
-                found[tuple(int(x) for x in cands[i])] = int(supports[i])
-            k += 1
+        found = levelwise(db.n_items, min_count, count, metrics, max_k)
 
     return MiningResult(found, db.n_transactions, min_count, metrics)

@@ -4,11 +4,14 @@ Flow, matching the paper:
 
 1. transpose the database into the static bitset table and install it
    on the (simulated) device — the only full-database transfer;
-2. count generation 1 with the support kernel, keep frequent items in
-   the candidate trie;
+2. count generation 1 with the support kernel, keep the frequent items
+   as the first trie level;
 3. repeat: generate (k+1)-candidates by the trie leaf/sibling join,
    ship the candidate buffer to the device, launch the support kernel,
-   fetch supports, prune the trie level — until a generation is empty.
+   fetch supports, prune the level — until a generation is empty.
+
+Steps 2-3 are the shared :func:`~repro.core.levelwise.levelwise`
+driver; this module supplies the plan's counting and prefix caching.
 
 The driver is plan- and engine-agnostic; every combination of
 {complete, equivalence} x {vectorized, simulated} mines identical
@@ -17,7 +20,7 @@ itemsets (asserted in the integration tests).
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from .._validation import check_support
 from ..bitset.bitset import BitsetMatrix
@@ -26,10 +29,9 @@ from ..errors import MiningError
 from ..faults.injection import inject
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..obs import mining_run, span
-from ..trie.generation import generate_candidates
-from ..trie.trie import CandidateTrie
 from .config import GPAprioriConfig
 from .itemset import MiningResult, RunMetrics
+from .levelwise import levelwise
 from .plans import make_plan
 from .support import make_engine
 
@@ -188,50 +190,14 @@ def gpapriori_mine(
                 engine.setup(matrix)
         plan = make_plan(config.plan)
 
-        trie = CandidateTrie()
-        found: dict[tuple, int] = {}
-
-        # ---- generation 1: every item is a candidate.
-        n_items = db.n_items
-        with span("generation", k=1, candidates=n_items) as gen_sp:
-            cands = np.arange(n_items, dtype=np.int32).reshape(-1, 1)
-            metrics.generations.append(n_items)
-            supports = plan.count(engine, cands, {})
-            frequent_mask = supports >= min_count
-            with span("prune", k=1):
-                for i in np.nonzero(frequent_mask)[0]:
-                    trie.insert((int(i),), int(supports[i]))
-                    found[(int(i),)] = int(supports[i])
-                prefix_index = plan.after_prune(engine, cands, frequent_mask, {})
-            gen_sp.set(frequent=int(frequent_mask.sum()))
-
-        # ---- generations k >= 2.
-        k = 1
-        while frequent_mask.any():
-            if max_k is not None and k >= max_k:
-                break
-            with span("generation", k=k + 1) as gen_sp:
-                cands = generate_candidates(trie, k)
-                gen_sp.set(candidates=int(cands.shape[0]))
-                if cands.shape[0] == 0:
-                    break
-                metrics.generations.append(int(cands.shape[0]))
-                supports = plan.count(engine, cands, prefix_index)
-                frequent_mask = supports >= min_count
-                with span("prune", k=k + 1):
-                    for i, row in enumerate(cands):
-                        node = trie.find(row.tolist())
-                        if node is None:  # pragma: no cover - generation inserted it
-                            raise MiningError("generated candidate missing from trie")
-                        node.support = int(supports[i])
-                    trie.prune_level(k + 1, min_count)
-                    for i in np.nonzero(frequent_mask)[0]:
-                        found[tuple(int(x) for x in cands[i])] = int(supports[i])
-                    prefix_index = plan.after_prune(
-                        engine, cands, frequent_mask, prefix_index
-                    )
-                gen_sp.set(frequent=int(frequent_mask.sum()))
-            k += 1
+        found = levelwise(
+            db.n_items,
+            min_count,
+            partial(plan.count, engine),
+            metrics,
+            max_k,
+            retain=partial(plan.after_prune, engine),
+        )
 
         engine.finalize()
 

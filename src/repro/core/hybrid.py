@@ -22,8 +22,7 @@ Balancers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,10 +33,9 @@ from ..errors import ConfigError, MiningError
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..gpusim.perfmodel import CpuCostModel, GpuCostModel
 from ..obs import mining_run, span
-from ..trie.generation import generate_candidates
-from ..trie.trie import CandidateTrie
 from .config import GPAprioriConfig
 from .itemset import MiningResult, RunMetrics
+from .levelwise import levelwise
 
 __all__ = ["StaticBalancer", "ModelBalancer", "hybrid_mine"]
 
@@ -103,17 +101,6 @@ class ModelBalancer:
         return best_g
 
 
-@dataclass
-class _GenerationSplit:
-    """Record of one generation's division of labour."""
-
-    k: int
-    n_candidates: int
-    gpu_candidates: int
-    gpu_modeled: float
-    cpu_modeled: float
-
-
 def hybrid_mine(
     db,
     min_support,
@@ -155,12 +142,10 @@ def hybrid_mine(
         n_words = matrix.n_words
         metrics.add_modeled("htod_bitsets", gpu_model.transfer_time(matrix.nbytes).seconds)
 
-        trie = CandidateTrie()
-        found: dict[tuple, int] = {}
-        splits: List[_GenerationSplit] = []
+        splits: List[Tuple[int, int]] = []  # (candidates, on the GPU) per generation
 
-        def count_generation(cands: np.ndarray, k: int) -> np.ndarray:
-            n = cands.shape[0]
+        def count_generation(cands: np.ndarray, parents) -> np.ndarray:
+            n, k = cands.shape
             with span("count", k=k, candidates=n) as sp:
                 g = int(np.clip(balancer.split(n, k, n_words), 0, n))
                 supports = np.empty(n, dtype=np.int64)
@@ -186,7 +171,7 @@ def hybrid_mine(
                         + gpu_model.transfer_time(g * 8).seconds
                     )
                 cpu_t = cpu_model.bitset_time((n - g) * k * n_words)
-                splits.append(_GenerationSplit(k, n, g, gpu_t, cpu_t))
+                splits.append((n, g))
                 metrics.add_counter("gpu_candidates", g)
                 metrics.add_counter("cpu_candidates", n - g)
                 metrics.add_modeled("hybrid_makespan", max(gpu_t, cpu_t))
@@ -198,36 +183,11 @@ def hybrid_mine(
                 )
             return supports
 
-        # generation 1
-        cands = np.arange(db.n_items, dtype=np.int32).reshape(-1, 1)
-        metrics.generations.append(db.n_items)
-        supports = count_generation(cands, 1)
-        for i in np.nonzero(supports >= min_count)[0]:
-            trie.insert((int(i),), int(supports[i]))
-            found[(int(i),)] = int(supports[i])
-
-        k = 1
-        while True:
-            if max_k is not None and k >= max_k:
-                break
-            cands = generate_candidates(trie, k)
-            if cands.shape[0] == 0:
-                break
-            metrics.generations.append(int(cands.shape[0]))
-            supports = count_generation(cands, k + 1)
-            for i, row in enumerate(cands):
-                trie.find(row.tolist()).support = int(supports[i])
-            trie.prune_level(k + 1, min_count)
-            for i in np.nonzero(supports >= min_count)[0]:
-                found[tuple(int(x) for x in cands[i])] = int(supports[i])
-            k += 1
+        found = levelwise(db.n_items, min_count, count_generation, metrics, max_k)
 
     result = MiningResult(found, db.n_transactions, min_count, metrics)
     # expose the split history for benches/tests
-    result.metrics.counters["generations_on_gpu_only"] = sum(
-        1 for s in splits if s.gpu_candidates == s.n_candidates and s.n_candidates
-    )
-    result.metrics.counters["generations_on_cpu_only"] = sum(
-        1 for s in splits if s.gpu_candidates == 0 and s.n_candidates
-    )
+    counters = result.metrics.counters
+    counters["generations_on_gpu_only"] = sum(1 for n, g in splits if g == n and n)
+    counters["generations_on_cpu_only"] = sum(1 for n, g in splits if g == 0 and n)
     return result

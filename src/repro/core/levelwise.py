@@ -1,0 +1,75 @@
+"""The level-wise Apriori driver every trie-based miner runs.
+
+Count generation 1 (every item), then join the frequent level into the
+next candidates (:func:`~repro.trie.level.join_level`), count them and
+keep the frequent rows, until a generation is empty or ``max_k`` is
+reached. Miners differ only in how a candidate buffer is counted and
+priced, which they pass in:
+
+* ``count(candidates, parents) -> supports``, where ``parents[i]`` is
+  the previous level's row holding candidate ``i``'s prefix (``None``
+  in generation 1);
+* optionally ``retain(candidates, frequent_mask)``, called in the
+  ``prune`` span to compact per-candidate state (cached prefix rows,
+  tidsets) to the survivors, which are the next level in order.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
+
+from ..obs import span
+from ..trie.level import join_level
+from .itemset import RunMetrics
+
+__all__ = ["levelwise"]
+
+CountFn = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
+RetainFn = Callable[[np.ndarray, np.ndarray], None]
+
+
+def levelwise(
+    n_items: int,
+    min_count: int,
+    count: CountFn,
+    metrics: RunMetrics,
+    max_k: int | None = None,
+    retain: RetainFn | None = None,
+) -> Dict[Tuple[int, ...], int]:
+    """Return ``{itemset: support}`` of every frequent itemset.
+
+    Emits a ``generation`` span per generation, with ``candidate_gen``
+    (from generation 2) and ``prune`` inside, and appends each counted
+    generation's size to ``metrics.generations``.
+    """
+    found: Dict[Tuple[int, ...], int] = {}
+
+    def keep(k: int, candidates, parents, gen_sp) -> np.ndarray:
+        metrics.generations.append(int(candidates.shape[0]))
+        supports = np.asarray(count(candidates, parents))
+        frequent = supports >= min_count
+        with span("prune", k=k):
+            level = candidates[frequent]
+            found.update(zip(map(tuple, level.tolist()), supports[frequent].tolist()))
+            if retain is not None:
+                retain(candidates, frequent)
+        gen_sp.set(frequent=int(level.shape[0]))
+        return level
+
+    with span("generation", k=1, candidates=n_items) as gen_sp:
+        level = keep(1, np.arange(n_items, dtype=np.int32).reshape(-1, 1), None, gen_sp)
+
+    k = 1
+    while level.shape[0] and (max_k is None or k < max_k):
+        k += 1
+        with span("generation", k=k) as gen_sp:
+            with span("candidate_gen", k=k - 1) as sp:
+                candidates, parents = join_level(level)
+                sp.set(frequent_k=int(level.shape[0]), produced=int(candidates.shape[0]))
+            gen_sp.set(candidates=int(candidates.shape[0]))
+            if candidates.shape[0] == 0:
+                break
+            level = keep(k, candidates, parents, gen_sp)
+    return found

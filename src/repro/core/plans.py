@@ -20,16 +20,14 @@ driver is plan-agnostic.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError, MiningError
+from ..errors import ConfigError
 from .support import SupportEngine
 
 __all__ = ["CompleteIntersectionPlan", "EquivalenceClassPlan", "make_plan"]
-
-PrefixIndex = Dict[Tuple[int, ...], int]
 
 
 class CompleteIntersectionPlan:
@@ -41,7 +39,7 @@ class CompleteIntersectionPlan:
         self,
         engine: SupportEngine,
         candidates: np.ndarray,
-        prefix_index: PrefixIndex,
+        parents: Optional[np.ndarray],
     ) -> np.ndarray:
         return engine.count_complete(candidates)
 
@@ -50,14 +48,17 @@ class CompleteIntersectionPlan:
         engine: SupportEngine,
         candidates: np.ndarray,
         frequent_mask: np.ndarray,
-        prefix_index: PrefixIndex,
-    ) -> PrefixIndex:
-        """No cached state; the prefix index is unused."""
-        return {}
+    ) -> None:
+        """No cached state."""
 
 
 class EquivalenceClassPlan:
-    """Extend cached (k-1)-prefix rows by one generation-1 row each."""
+    """Extend cached (k-1)-prefix rows by one generation-1 row each.
+
+    The device cache holds one row per frequent itemset of the previous
+    level, in level order, so a candidate's prefix row is its
+    ``parents`` entry from the level join.
+    """
 
     name = "equivalence"
 
@@ -65,45 +66,27 @@ class EquivalenceClassPlan:
         self,
         engine: SupportEngine,
         candidates: np.ndarray,
-        prefix_index: PrefixIndex,
+        parents: Optional[np.ndarray],
     ) -> np.ndarray:
-        if candidates.shape[1] == 1:
+        k = candidates.shape[1]
+        if k == 1:
             # Generation 1 has no prefixes; fall back to direct counting.
             return engine.count_complete(candidates)
-        pairs = np.empty((candidates.shape[0], 2), dtype=np.int64)
-        for i, row in enumerate(candidates):
-            prefix = tuple(int(x) for x in row[:-1])
-            try:
-                pairs[i, 0] = prefix_index[prefix]
-            except KeyError:
-                raise MiningError(
-                    f"candidate prefix {prefix} missing from the cached "
-                    "equivalence-class index"
-                ) from None
-            pairs[i, 1] = row[-1]
-        return engine.count_extend(pairs)
+        # After generation 1 the cache *is* the generation-1 table: a
+        # frequent item's prefix row is its own bitset row.
+        prefix_rows = candidates[:, 0] if k == 2 else parents
+        pairs = np.column_stack((prefix_rows, candidates[:, -1]))
+        return engine.count_extend(pairs.astype(np.int64, copy=False))
 
     def after_prune(
         self,
         engine: SupportEngine,
         candidates: np.ndarray,
         frequent_mask: np.ndarray,
-        prefix_index: PrefixIndex,
-    ) -> PrefixIndex:
-        """Compact survivors into the device cache; rebuild the index."""
-        if candidates.shape[1] == 1:
-            # After generation 1 the cache *is* the generation-1 table:
-            # a frequent item's prefix row is its own bitset row.
-            return {
-                (int(candidates[i, 0]),): int(candidates[i, 0])
-                for i in np.nonzero(frequent_mask)[0]
-            }
-        keep = np.nonzero(frequent_mask)[0]
-        engine.retain(keep)
-        return {
-            tuple(int(x) for x in candidates[i]): pos
-            for pos, i in enumerate(keep)
-        }
+    ) -> None:
+        """Compact the survivors' rows into the device cache."""
+        if candidates.shape[1] > 1:
+            engine.retain(np.nonzero(frequent_mask)[0])
 
 
 def make_plan(name: str):

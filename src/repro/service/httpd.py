@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Tuple
@@ -349,6 +350,17 @@ class MiningHTTPServer(ThreadingHTTPServer):
     def port(self) -> int:
         """The bound port (useful with ephemeral ``port=0``)."""
         return self.server_address[1]
+
+    def get_request(self):
+        """Accept a connection with Nagle's algorithm off.
+
+        The handler writes headers and body in separate sends; with
+        Nagle on, a kept-alive response's second send waits for the
+        client's delayed ACK (about 40 ms).
+        """
+        conn, addr = super().get_request()
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn, addr
 
 
 def make_server(

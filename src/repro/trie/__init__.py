@@ -6,13 +6,18 @@ hierarchical trie. New candidates are produced by joining leaves with
 their right siblings and appending a new leaf layer — the paper's
 "merging the leaf nodes and their siblings".
 
-* :class:`~repro.trie.trie.CandidateTrie` — the shared prefix tree.
-* :mod:`~repro.trie.generation` — leaf/sibling join + subset pruning
-  (both trie-backed and the classic ``F_{k-1} x F_{k-1}`` join).
+* :func:`~repro.trie.level.join_level` — the trie stored by level: a
+  sorted ``(n, k)`` array per generation, whose prefix runs are the
+  sibling groups, joined into the next level with subset pruning. The
+  mining drivers use this form.
+* :class:`~repro.trie.trie.CandidateTrie` — the pointer prefix tree.
+* :mod:`~repro.trie.generation` — adapters running the join for a
+  :class:`CandidateTrie` or for sorted-tuple lists.
 * :class:`~repro.trie.hashtrie.HashTrie` — Bodon-style counting trie
   for horizontal support counting.
 """
 
+from .level import join_level
 from .trie import CandidateTrie, TrieNode
 from .generation import (
     generate_candidates,
@@ -27,5 +32,6 @@ __all__ = [
     "generate_candidates",
     "join_frequent",
     "all_subsets_frequent",
+    "join_level",
     "HashTrie",
 ]

@@ -8,9 +8,10 @@ with an infrequent k-subset — the "equivalent-class" style join that
 "speeds up candidate generation by avoiding the slow O(n^2) complete
 join" (Zaki, paper ref. [8]).
 
-:func:`join_frequent` provides the same join over plain sorted-tuple
-lists for baselines that do not carry a trie; both paths are proven
-equivalent in the test suite.
+Both entry points here are adapters over the array join
+:func:`~repro.trie.level.join_level`: :func:`generate_candidates` for a
+:class:`CandidateTrie`, :func:`join_frequent` for plain sorted-tuple
+lists.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import TrieError
-from ..obs import span
+from .level import join_level
 from .trie import CandidateTrie
 
 __all__ = ["generate_candidates", "join_frequent", "all_subsets_frequent"]
@@ -48,11 +49,10 @@ def all_subsets_frequent(
 def generate_candidates(trie: CandidateTrie, k: int) -> np.ndarray:
     """Generate the (k+1)-candidates from the trie's frequent k-level.
 
-    For every depth-``k`` node, each ordered pair (leaf, right sibling)
-    yields the candidate ``path(leaf) + [sibling.item]``. Candidates
-    failing the subset check are discarded; survivors are inserted into
-    the trie (support unset) *and* returned as an ``(n, k+1)`` int32
-    array — the contiguous candidate buffer GPApriori ships to the GPU.
+    Joins the depth-``k`` itemsets with :func:`join_level`, inserts the
+    survivors into the trie (support unset) and returns them as an
+    ``(n, k+1)`` int32 array — the contiguous candidate buffer
+    GPApriori ships to the GPU.
 
     Precondition: depth-``k`` contains only *frequent* leaves (call
     :meth:`CandidateTrie.prune_level` first), otherwise the join would
@@ -60,25 +60,11 @@ def generate_candidates(trie: CandidateTrie, k: int) -> np.ndarray:
     """
     if k < 1:
         raise TrieError("k must be >= 1")
-    with span("candidate_gen", k=k) as sp:
-        frequent_k: Set[Tuple[int, ...]] = set(trie.itemsets_at_depth(k))
-        new_rows: List[Tuple[int, ...]] = []
-        # Group leaves by parent: siblings share the (k-1)-prefix.
-        parent_nodes = [trie.root] if k == 1 else list(trie.nodes_at_depth(k - 1))
-        for parent in parent_nodes:
-            siblings = parent.sorted_children()
-            for i, left in enumerate(siblings):
-                prefix = left.path()
-                for right in siblings[i + 1 :]:
-                    candidate = prefix + (right.item,)
-                    if all_subsets_frequent(candidate, frequent_k):
-                        new_rows.append(candidate)
-        for row in new_rows:
-            trie.insert(row)
-        sp.set(frequent_k=len(frequent_k), produced=len(new_rows))
-    if not new_rows:
-        return np.empty((0, k + 1), dtype=np.int32)
-    return np.asarray(new_rows, dtype=np.int32)
+    level = np.array(trie.itemsets_at_depth(k), dtype=np.int32).reshape(-1, k)
+    candidates, _ = join_level(level)
+    for row in candidates.tolist():
+        trie.insert(row)
+    return candidates
 
 
 def join_frequent(frequent_k: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
@@ -86,8 +72,7 @@ def join_frequent(frequent_k: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]
 
     Joins pairs sharing the first k-1 items, then applies the subset
     prune. Returns canonically sorted (k+1)-tuples in lexicographic
-    order. Equivalent to :func:`generate_candidates` on the same level
-    (property-tested).
+    order.
     """
     level: List[Tuple[int, ...]] = sorted(set(frequent_k))
     if not level:
@@ -97,20 +82,5 @@ def join_frequent(frequent_k: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]
         raise TrieError("join_frequent requires itemsets of equal length")
     if any(any(b <= a for a, b in zip(t, t[1:])) for t in level):
         raise TrieError("itemsets must be strictly increasing tuples")
-    freq_set = set(level)
-    out: List[Tuple[int, ...]] = []
-    i = 0
-    n = len(level)
-    while i < n:
-        # [i, j) is the block sharing the (k-1)-prefix of level[i].
-        j = i + 1
-        while j < n and level[j][: k - 1] == level[i][: k - 1]:
-            j += 1
-        block = level[i:j]
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                candidate = block[a] + (block[b][-1],)
-                if all_subsets_frequent(candidate, freq_set):
-                    out.append(candidate)
-        i = j
-    return out
+    candidates, _ = join_level(np.array(level, dtype=np.int32).reshape(-1, k))
+    return list(map(tuple, candidates.tolist()))

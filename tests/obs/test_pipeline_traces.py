@@ -8,7 +8,8 @@ from repro.bench.runner import run_algorithm
 from repro.core.api import mine
 from repro.core.config import GPAprioriConfig
 from repro.core.gpapriori import gpapriori_mine
-from repro.obs import Tracer, trace_coverage
+from repro.datasets.synthetic import dataset_analog
+from repro.obs import Tracer, phase_totals, trace_coverage
 
 
 def traced_mine(db, min_support, **kwargs):
@@ -73,6 +74,28 @@ class TestGPAprioriGolden:
         traced_result, _ = traced_mine(small_db, 0.3)
         plain_result = gpapriori_mine(small_db, 0.3)
         assert plain_result.as_dict() == traced_result.as_dict()
+
+
+class TestSpanContract:
+    """The phase names the end-to-end benchmark attributes time to."""
+
+    PHASES = {
+        "mining_run", "transpose", "install", "generation",
+        "candidate_gen", "prune", "kernel_launch",
+    }
+
+    def test_mine_emits_exactly_the_known_phases(self):
+        db = dataset_analog("chess", scale=0.05)
+        tracer = Tracer()
+        with tracer.activate():
+            result = mine(db, 0.8, layout="dense", engine="vectorized")
+        assert len(result.metrics.generations) >= 3
+        spans = tracer.finished()
+        assert [s.name for s in tracer.roots()] == ["mining_run"]
+        assert {s.name for s in spans} == self.PHASES
+        totals = phase_totals(tracer)
+        run = tracer.roots()[0].duration
+        assert sum(totals[name] for name in self.PHASES) / run >= 0.95
 
 
 class TestAllAlgorithmsEmitRoots:

@@ -2,10 +2,13 @@
 
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trie import CandidateTrie, HashTrie, generate_candidates, join_frequent
+from repro.trie.level import join_level
 from tests.property.strategies import itemset_levels, transaction_databases
 
 itemsets_strategy = st.lists(
@@ -80,6 +83,69 @@ class TestJoinProperties:
             (a, b) for i, a in enumerate(items) for b in items[i + 1 :]
         ]
         assert got == want
+
+
+def oracle_join(level):
+    """Brute-force next generation: every (k+1)-combination of the
+    level's items whose k-subsets are all in the level, sorted, with
+    each one's k-prefix position in the sorted level."""
+    rows = sorted(level)
+    if not rows:
+        return [], []
+    k = len(rows[0])
+    position = {row: i for i, row in enumerate(rows)}
+    universe = sorted({i for row in rows for i in row})
+    cands = [
+        c
+        for c in combinations(universe, k + 1)
+        if all(s in position for s in combinations(c, k))
+    ]
+    return cands, [position[c[:k]] for c in cands]
+
+
+def check_against_oracle(level, k):
+    array = np.array(sorted(level), dtype=np.int32).reshape(-1, k)
+    cands, parents = join_level(array)
+    want, want_parents = oracle_join(level)
+    assert cands.dtype == np.int32 and cands.shape == (len(want), k + 1)
+    assert list(map(tuple, cands.tolist())) == want
+    assert parents.tolist() == want_parents
+    # each parent row is its candidate's k-prefix
+    assert (array[parents] == cands[:, :k]).all()
+
+
+class TestJoinLevelOracle:
+    """join_level against a brute force sharing no trie code."""
+
+    @settings(max_examples=80)
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_random_levels(self, k, data):
+        level = data.draw(itemset_levels(max_item=8, k=k, max_count=30))
+        check_against_oracle(level, k)
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=2, max_value=4), st.data())
+    def test_dense_levels(self, k, data):
+        """All k-subsets of a few items minus some: many long candidates."""
+        items = data.draw(st.lists(st.integers(0, 40), min_size=k, max_size=k + 3, unique=True))
+        full = list(combinations(sorted(items), k))
+        drop = data.draw(st.sets(st.sampled_from(full), max_size=2))
+        check_against_oracle([t for t in full if t not in drop], k)
+
+    @pytest.mark.parametrize(
+        "level, k",
+        [
+            ([], 1),  # empty level
+            ([], 3),
+            ([(4, 9)], 2),  # one row
+            ([(0,), (2,), (5,), (6,)], 1),  # k = 1: one group, all pairs
+            ([(1, 2, 3), (1, 2, 5), (1, 2, 7)], 3),  # one group: subsets missing
+            ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 2),  # closed groups
+            ([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (5, 6), (5, 7), (6, 7)], 2),
+        ],
+    )
+    def test_edge_levels(self, level, k):
+        check_against_oracle(level, k)
 
 
 class TestHashTrieProperties:

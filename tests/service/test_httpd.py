@@ -1,6 +1,7 @@
 """HTTP frontend: endpoints, error mapping, parity with the Python API."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -430,3 +431,18 @@ class TestVersionedAPI:
         )
         assert status == 400
         assert "'algorithm' must be a string" in doc["error"]
+
+
+class TestSocketOptions:
+    def test_accepted_sockets_disable_nagle(self):
+        service = MiningService(workers=1)
+        srv = make_server(service, port=0)
+        srv.socket.settimeout(5.0)  # accept() fails instead of hanging
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5.0):
+                conn, _ = srv.get_request()
+                with conn:
+                    assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            srv.server_close()
+            service.close()

@@ -1,0 +1,73 @@
+"""Unit tests for the array-encoded level join and its row keys."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from repro.errors import TrieError
+from repro.trie.level import join_level, row_keys
+
+
+def _expected(level):
+    """Every (k+1)-set whose k-subsets are all in ``level``, sorted."""
+    freq = set(level)
+    k = len(level[0])
+    universe = sorted({i for t in level for i in t})
+    return [c for c in combinations(universe, k + 1) if set(combinations(c, k)) <= freq]
+
+
+class TestJoinLevel:
+    def test_level1_is_all_pairs(self):
+        cands, parents = join_level(np.array([[1], [3], [7]]))
+        assert cands.tolist() == [[1, 3], [1, 7], [3, 7]]
+        assert parents.tolist() == [0, 0, 1]
+
+    def test_groups_do_not_join_across_prefixes(self):
+        level = np.array([[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]])
+        cands, parents = join_level(level)
+        assert cands.tolist() == [[1, 2, 3], [2, 3, 4]]
+        assert parents.tolist() == [0, 2]
+
+    def test_infrequent_subset_pruned(self):
+        cands, parents = join_level(np.array([[1, 2], [1, 3]]))
+        assert cands.shape == (0, 3)
+        assert parents.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(0, 1), (0, 4), (1, 3)])
+    def test_too_small_levels_join_to_nothing(self, shape):
+        cands, parents = join_level(np.zeros(shape, dtype=np.int32))
+        assert cands.shape == (0, shape[1] + 1)
+        assert cands.dtype == np.int32
+        assert parents.dtype == np.int64
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(TrieError, match="2-d"):
+            join_level(np.arange(4))
+
+
+class TestExactKeysAtAnyDepth:
+    """One int64 per row overflows once n_items**k >= 2**63: with 942
+    items (the T40 analog) that is width 7. The keys must stay exact."""
+
+    N_ITEMS = 942
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_join_at_packing_boundary(self, k):
+        assert (self.N_ITEMS**k >= 2**63) == (k >= 7)
+        # k + 2 items spread over the whole id range, up to the largest
+        spread = [round(i * (self.N_ITEMS - 1) / (k + 1)) for i in range(k + 2)]
+        level = sorted(combinations(spread, k))
+        level.remove(tuple(spread[1 : k + 1]))  # leave two supersets unsupported
+        cands, parents = join_level(np.array(level, dtype=np.int32))
+        expected = _expected(level)
+        assert len(expected) == k
+        assert list(map(tuple, cands.tolist())) == expected
+        assert (np.array(level)[parents] == cands[:, :-1]).all()
+
+    def test_keys_sort_like_rows(self):
+        rng = np.random.default_rng(7)
+        rows = np.sort(rng.choice(self.N_ITEMS, size=(200, 9)), axis=1).astype(np.int32)
+        by_key = rows[np.argsort(row_keys(rows), kind="stable")]
+        by_row = rows[np.lexsort(rows.T[::-1])]
+        assert by_key.tolist() == by_row.tolist()
