@@ -186,9 +186,9 @@ class BitsetMatrix:
 
     def supports(self) -> np.ndarray:
         """Per-item supports: popcount of every row, vectorized."""
-        from .ops import popcount_words
+        from .ops import row_supports
 
-        return popcount_words(self._words).sum(axis=1).astype(np.int64)
+        return row_supports(self._words)
 
     def test_bit(self, item: int, transaction: int) -> bool:
         """Whether ``transaction`` contains ``item``."""

@@ -10,13 +10,16 @@ by density.
 
 :class:`HybridLayout` keeps every item whose support-density clears a
 threshold as a 64-byte-aligned bitset row (exactly the rows the static
-layout would hold) and demotes the rest to sorted tid-lists. Support
-counting is mixed-mode:
-
-* dense ∧ dense — word-wise AND + popcount, unchanged from the paper;
-* sparse probe into dense — walk the (short) tid-list and test the
-  corresponding bit of the dense partial intersection;
-* sparse ∧ sparse — merge intersection of the sorted tid-lists.
+layout would hold) and demotes the rest to sorted tid-lists. The
+layout is a memory and transfer saving, not a second way to count: on
+the host, :func:`hybrid_supports` maps candidates onto the one counting
+core, :func:`~repro.bitset.ops.support_words`. All-dense candidates
+count off the dense block; candidates with a sparse member count off a
+transient table of densified rows for just the items they reference,
+at most ``distinct items × n_words × 4`` bytes (about 2.3 MB on the
+T40I10D100K analog at scale 0.5). The simulated engine keeps the
+genuine mixed-mode device kernels in :mod:`repro.core.kernels`, where
+each thread probes a sparse member's tid-list for the word it ANDs.
 
 The break-even threshold is exact: an aligned row costs
 ``n_words * 4`` bytes while a tid-list costs ``4 * support`` bytes, so
@@ -27,20 +30,18 @@ computes that, and ``layout="auto"`` additionally falls back to the
 all-dense layout whenever hybridizing would not actually save bytes.
 
 Everything here is NumPy-level host code shared by the vectorized and
-parallel engines and by the tests that pin the simulated kernels; the
-simulated engine has genuine generator kernels over the same device
-arrays (see :mod:`repro.core.kernels`).
+parallel engines and by the tests that pin the simulated kernels.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import BitsetError
-from .bitset import WORD_BITS, BitsetMatrix, _tail_mask, words_for
-from .ops import popcount_words, tile_bounds
+from .bitset import WORD_BITS, BitsetMatrix, words_for
+from .ops import row_supports, support_words, tile_bounds
 
 __all__ = [
     "HybridLayout",
@@ -188,14 +189,17 @@ class HybridLayout:
         row_map = np.empty(matrix.n_items, dtype=np.int32)
         row_map[dense_items] = np.arange(dense_items.size, dtype=np.int32)
         row_map[sparse_items] = -np.arange(sparse_items.size, dtype=np.int32) - 1
-        dense_words = matrix.words[dense_items].copy()
-        lengths = supports[sparse_items]
+        dense_words = matrix.words[dense_items]
         offsets = np.zeros(sparse_items.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        tids = np.empty(int(offsets[-1]), dtype=np.int32)
-        for slot, item in enumerate(sparse_items):
-            tids[offsets[slot]:offsets[slot + 1]] = matrix.tidset(int(item))
-        return cls(dense_words, row_map, tids, offsets, n_tx, dense_threshold)
+        np.cumsum(supports[sparse_items], out=offsets[1:])
+        return cls(
+            dense_words,
+            row_map,
+            _decode_rows(matrix.words, sparse_items),
+            offsets,
+            n_tx,
+            dense_threshold,
+        )
 
     @classmethod
     def from_database(
@@ -324,21 +328,17 @@ class HybridLayout:
         dense = np.ascontiguousarray(
             self.dense_words[:, shard.word_start:shard.word_stop]
         )
-        cuts_lo = np.empty(self.n_sparse, dtype=np.int64)
-        cuts_hi = np.empty(self.n_sparse, dtype=np.int64)
-        for slot in range(self.n_sparse):
-            lo, hi = self.sparse_offsets[slot], self.sparse_offsets[slot + 1]
-            seg = self.sparse_tids[lo:hi]
-            cuts_lo[slot] = lo + np.searchsorted(seg, shard.tid_start)
-            cuts_hi[slot] = lo + np.searchsorted(seg, shard.tid_stop)
-        lengths = cuts_hi - cuts_lo
+        slot_of = np.repeat(
+            np.arange(self.n_sparse), np.diff(self.sparse_offsets)
+        )
+        keep = (self.sparse_tids >= shard.tid_start) & (
+            self.sparse_tids < shard.tid_stop
+        )
         offsets = np.zeros(self.n_sparse + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        tids = np.empty(int(offsets[-1]), dtype=np.int32)
-        for slot in range(self.n_sparse):
-            tids[offsets[slot]:offsets[slot + 1]] = (
-                self.sparse_tids[cuts_lo[slot]:cuts_hi[slot]] - shard.tid_start
-            )
+        np.cumsum(
+            np.bincount(slot_of[keep], minlength=self.n_sparse), out=offsets[1:]
+        )
+        tids = self.sparse_tids[keep] - np.int32(shard.tid_start)
         return HybridLayout(
             dense,
             self.row_map.copy(),
@@ -349,44 +349,34 @@ class HybridLayout:
         )
 
 
-# -- mixed-mode counting (shared by vectorized + parallel engines) ------------
+def _decode_rows(words: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Sorted set-bit positions of each of ``items``' rows, back to back
+    (per tile: its nonzero words, then the set bits of those)."""
+    parts = []
+    for start, stop in tile_bounds(items.size, max(words.shape[1] * 4, 1)):
+        block = words[items[start:stop]]
+        row, col = np.nonzero(block)
+        bits = np.unpackbits(
+            block[row, col].view(np.uint8), bitorder="little"
+        ).reshape(-1, WORD_BITS)
+        hit, bit = np.nonzero(bits)
+        parts.append((col[hit] * WORD_BITS + bit).astype(np.int32))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
 
 
-def _full_block(layout: HybridLayout, n_rows: int) -> np.ndarray:
-    """All-ones rows with padding bits masked off (the neutral AND row)."""
-    block = np.full((n_rows, layout.n_words), 0xFFFFFFFF, dtype=np.uint32)
-    mask = _tail_mask(layout.n_words, layout.n_transactions)
-    if mask is not None:
-        block &= mask
-    return block
-
-
-def _sparse_chain(
-    layout: HybridLayout, slots: Sequence[int]
-) -> np.ndarray:
-    """Intersect the tid-lists of several sparse slots (smallest first)."""
-    segs: List[np.ndarray] = []
-    for slot in slots:
-        lo, hi = layout.sparse_offsets[slot], layout.sparse_offsets[slot + 1]
-        segs.append(layout.sparse_tids[lo:hi])
-    segs.sort(key=len)
-    acc = segs[0]
-    for seg in segs[1:]:
-        if acc.size == 0:
-            break
-        acc = np.intersect1d(acc, seg, assume_unique=True)
-    return acc
+# -- host counting (shared by vectorized + parallel engines) -----------------
 
 
 def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
-    """Mixed-mode support counts for ``(n, k)`` candidate itemsets.
+    """Support counts for ``(n, k)`` candidate itemsets on the hybrid layout.
 
-    Per candidate: AND its dense members' rows into a tail-masked
-    all-ones block row; intersect its sparse members' tid-lists; then
-    either popcount the block (no sparse members) or probe the
-    surviving tids into the block and count hits. A candidate with no
-    dense members probes into the neutral all-ones row, so the pure
-    tid-list path falls out of the same code.
+    A layout adapter over the one host counting core,
+    :func:`~repro.bitset.ops.support_words`. Candidates whose members
+    are all dense count straight off the dense block through
+    ``row_map``. Candidates with any sparse member count off a
+    transient table from :func:`densify_rows` that holds only the
+    distinct items those candidates reference, so it is at most
+    ``distinct items × n_words × 4`` bytes.
 
     Returns int64 supports, bit-identical to the all-dense
     :func:`~repro.bitset.ops.support_many`.
@@ -394,34 +384,20 @@ def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
     candidates = np.ascontiguousarray(candidates)
     if candidates.ndim != 2:
         raise BitsetError(f"candidates must be 2-D, got shape {candidates.shape}")
-    n, k = candidates.shape
-    if n and (candidates.min() < 0 or candidates.max() >= layout.n_items):
+    if candidates.shape[1] == 0:
+        raise BitsetError("candidates must have k >= 1 items")
+    if candidates.size and (
+        candidates.min() < 0 or candidates.max() >= layout.n_items
+    ):
         raise BitsetError(f"candidate item id out of range [0, {layout.n_items})")
-    supports = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return supports
     rows = layout.row_map[candidates]
-    row_bytes = max(layout.n_words * 4, 1)
-    for start, stop in tile_bounds(n, row_bytes):
-        tile_rows = rows[start:stop]
-        block = _full_block(layout, stop - start)
-        for j in range(k):
-            sel = tile_rows[:, j] >= 0
-            if np.any(sel):
-                block[sel] &= layout.dense_words[tile_rows[sel, j]]
-        any_sparse = (tile_rows < 0).any(axis=1)
-        counts = popcount_words(block).sum(axis=1).astype(np.int64)
-        for i in np.nonzero(any_sparse)[0]:
-            slots = [-int(r) - 1 for r in tile_rows[i] if r < 0]
-            tids = _sparse_chain(layout, slots)
-            if tids.size == 0:
-                counts[i] = 0
-                continue
-            probe = (
-                block[i, tids // WORD_BITS] >> (tids % WORD_BITS).astype(np.uint32)
-            ) & 1
-            counts[i] = int(probe.sum())
-        supports[start:stop] = counts
+    mixed = (rows < 0).any(axis=1)
+    supports = np.empty(candidates.shape[0], dtype=np.int64)
+    supports[~mixed] = support_words(layout.dense_words, rows[~mixed])
+    items, ids = np.unique(candidates[mixed], return_inverse=True)
+    supports[mixed] = support_words(
+        densify_rows(layout, items), ids.reshape(-1, candidates.shape[1])
+    )
     return supports
 
 
@@ -429,24 +405,28 @@ def densify_rows(layout: HybridLayout, items: np.ndarray) -> np.ndarray:
     """Materialize bitset rows for ``items`` whichever side they live on.
 
     Dense items gather their block row; sparse items scatter their
-    tid-list into a fresh zeroed row. Used to seed the (always dense)
-    prefix-row cache at the first equivalence-class extend generation.
+    tid-lists into fresh zeroed rows, all in one ``bitwise_or.at``.
+    Feeds the mixed candidates of :func:`hybrid_supports` and seeds the
+    (always dense) prefix-row cache at the first equivalence-class
+    extend generation.
     """
     items = np.ascontiguousarray(items)
     out = np.zeros((items.size, layout.n_words), dtype=np.uint32)
     entries = layout.row_map[items]
     dense_sel = entries >= 0
-    if np.any(dense_sel):
-        out[dense_sel] = layout.dense_words[entries[dense_sel]]
-    for i in np.nonzero(~dense_sel)[0]:
-        slot = -int(entries[i]) - 1
-        lo, hi = layout.sparse_offsets[slot], layout.sparse_offsets[slot + 1]
-        tids = layout.sparse_tids[lo:hi]
-        np.bitwise_or.at(
-            out[i],
-            tids // WORD_BITS,
-            np.uint32(1) << (tids % WORD_BITS).astype(np.uint32),
-        )
+    out[dense_sel] = layout.dense_words[entries[dense_sel]]
+    owners = np.nonzero(~dense_sel)[0]
+    lo = layout.sparse_offsets[-entries[owners] - 1]
+    lengths = layout.sparse_offsets[-entries[owners]] - lo
+    # every owner's tids, back to back: lo + position within its run
+    tids = layout.sparse_tids[
+        np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+    ]
+    np.bitwise_or.at(
+        out.reshape(-1),
+        np.repeat(owners * layout.n_words, lengths) + tids // WORD_BITS,
+        np.uint32(1) << (tids % WORD_BITS).astype(np.uint32),
+    )
     return out
 
 
@@ -470,8 +450,7 @@ def hybrid_extend_rows(
     else:
         base = base_rows[pairs[:, 0]]
     rows = base & densify_rows(layout, pairs[:, 1])
-    supports = popcount_words(rows).sum(axis=1).astype(np.int64)
-    return rows, supports
+    return rows, row_supports(rows)
 
 
 def count_cost_stats(

@@ -25,12 +25,17 @@ __all__ = [
     "support_of_rows",
     "support_many",
     "support_words",
+    "row_supports",
     "tile_bounds",
     "TILE_BUDGET_BYTES",
 ]
 
 TILE_BUDGET_BYTES = 8 << 20
 """Default per-tile gather budget (~8 MB keeps blocks cache-friendly)."""
+
+COUNT_BLOCK_BYTES = 512 << 10
+"""Gather budget inside :func:`support_words`: the block, its AND
+operand and its per-word counts stay resident in a core's L2."""
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -123,23 +128,43 @@ def tile_bounds(
     return [(start, min(start + tile, n)) for start in range(0, n, tile)]
 
 
+def row_supports(block: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D ``uint32`` or ``uint64`` word block.
+
+    The popcount-and-sum every host counting path ends in (the kernel's
+    ``__popc`` plus its shared-memory reduction). Returns int64 counts,
+    one per row.
+    """
+    if _HAS_BITWISE_COUNT:
+        counts = np.bitwise_count(block)
+    else:
+        counts = popcount_words(block.view(np.uint32))
+    return counts.sum(axis=1, dtype=np.int64)
+
+
 def support_words(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Tile-batched support counting over a raw ``(n_items, n_words)``
     word array (the validated core of :func:`support_many`).
 
-    Shared by the vectorized engine (via :func:`support_many`) and the
-    parallel engine's workers, which run it against the same words
-    mapped into :mod:`multiprocessing.shared_memory`; identical inputs
-    produce bit-identical supports on both paths.
+    The one host counting core: the vectorized engine (via
+    :func:`support_many`), the hybrid layout (via
+    :func:`~repro.bitset.hybrid.hybrid_supports`) and the parallel
+    engine's workers, which map the same words from
+    :mod:`multiprocessing.shared_memory`, all run it, so identical
+    inputs give bit-identical supports on every path. A C-contiguous
+    table of even width is read as ``uint64`` words, halving the
+    element count of each AND and popcount.
     """
     n, k = candidates.shape
     out = np.empty(n, dtype=np.int64)
     row_bytes = words.shape[1] * words.dtype.itemsize
-    for start, stop in tile_bounds(n, row_bytes):
-        block = words[candidates[start:stop, 0]].copy()
+    if words.shape[1] % 2 == 0 and words.flags.c_contiguous:
+        words = words.view(np.uint64)
+    for start, stop in tile_bounds(n, row_bytes, COUNT_BLOCK_BYTES):
+        block = words[candidates[start:stop, 0]]
         for j in range(1, k):
             np.bitwise_and(block, words[candidates[start:stop, j]], out=block)
-        out[start:stop] = popcount_words(block).sum(axis=1, dtype=np.int64)
+        out[start:stop] = row_supports(block)
     return out
 
 

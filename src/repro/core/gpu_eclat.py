@@ -26,7 +26,7 @@ import numpy as np
 
 from .._validation import check_support
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.ops import popcount_words
+from ..bitset.ops import row_supports
 from ..errors import MiningError
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..gpusim.perfmodel import GpuCostModel
@@ -95,7 +95,7 @@ def gpu_eclat_mine(
                     continue
                 # one extend-kernel batch: block b ANDs rows[idx] & rows[idx+1+b]
                 new_rows = rows[idx] & rows[idx + 1 :]
-                new_supports = popcount_words(new_rows).sum(axis=1, dtype=np.int64)
+                new_supports = row_supports(new_rows)
                 launches += 1
                 metrics.add_modeled(
                     "kernel",

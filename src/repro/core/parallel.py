@@ -37,7 +37,7 @@ import numpy as np
 
 from ..bitset.bitset import BitsetMatrix
 from ..bitset.hybrid import HybridLayout, hybrid_extend_rows, hybrid_supports
-from ..bitset.ops import popcount_words, support_words, tile_bounds
+from ..bitset.ops import row_supports, support_words, tile_bounds
 from ..errors import BitsetError, MiningError
 from ..faults.degrade import record_degradation
 from ..faults.injection import fault_point
@@ -131,7 +131,7 @@ def _extend_tile(
     words = _attach(matrix_ref)
     base = _attach(prefix_ref) if prefix_ref is not None else words
     rows = base[pairs[:, 0]] & words[pairs[:, 1]]
-    return popcount_words(rows).sum(axis=1, dtype=np.int64)
+    return row_supports(rows)
 
 
 def _attach_or_empty(
@@ -444,14 +444,7 @@ class ParallelEngine(SupportEngine):
                         ],
                     )
             if results is None:
-                if self._hybrid is not None:
-                    _, supports = hybrid_extend_rows(
-                        self._hybrid, self._prefix_rows, pairs
-                    )
-                else:
-                    base = self._base_rows()
-                    rows = base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
-                    supports = popcount_words(rows).sum(axis=1, dtype=np.int64)
+                supports = row_supports(self._extend_rows(pairs))
                 self._record_tiles(sp, bounds, dispatched=False)
             else:
                 supports = np.concatenate(results)
@@ -460,8 +453,12 @@ class ParallelEngine(SupportEngine):
             sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
         return supports
 
-    def _base_rows(self) -> np.ndarray:
-        return self._prefix_rows if self._prefix_rows is not None else self.matrix.words
+    def _extend_rows(self, pairs: np.ndarray) -> np.ndarray:
+        """The AND-ed rows of ``pairs`` against the current prefix cache."""
+        if self._hybrid is not None:
+            return hybrid_extend_rows(self._hybrid, self._prefix_rows, pairs)[0]
+        base = self.matrix.words if self._prefix_rows is None else self._prefix_rows
+        return base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
 
     def _publish_prefix(self) -> Optional[_ShmRef]:
         """Current prefix cache as a shared segment (None = gen-1 table).
@@ -485,14 +482,7 @@ class ParallelEngine(SupportEngine):
         if self._pending_pairs is None:
             raise MiningError("retain() without a preceding count_extend()")
         indices = _check_retain_indices(indices, self._pending_pairs.shape[0])
-        kept = self._pending_pairs[indices]
-        if self._hybrid is not None:
-            self._prefix_rows, _ = hybrid_extend_rows(
-                self._hybrid, self._prefix_rows, kept
-            )
-        else:
-            base = self._base_rows()
-            self._prefix_rows = base[kept[:, 0]] & self.matrix.words[kept[:, 1]]
+        self._prefix_rows = self._extend_rows(self._pending_pairs[indices])
         self._prefix_dirty = True
         self._pending_pairs = None
         self.metrics.add_counter(

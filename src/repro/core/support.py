@@ -33,7 +33,7 @@ from ..bitset.hybrid import (
     hybrid_extend_rows,
     hybrid_supports,
 )
-from ..bitset.ops import popcount_words, support_many
+from ..bitset.ops import row_supports, support_many
 from ..errors import ConfigError, DeviceMemoryError, MiningError
 from ..gpusim.coalescing import analyze_trace
 from ..gpusim.device import TESLA_T10, DeviceProperties
@@ -309,16 +309,12 @@ class VectorizedEngine(SupportEngine):
                 rows, supports = hybrid_extend_rows(
                     self._hybrid, self._prefix_rows, pairs
                 )
-                self._pending_rows = rows
-                sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
             else:
-                base = (
-                    self._prefix_rows if not gen1 else self.matrix.words
-                )
+                base = self.matrix.words if gen1 else self._prefix_rows
                 rows = base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
-                self._pending_rows = rows
-                sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
-                supports = popcount_words(rows).sum(axis=1, dtype=np.int64)
+                supports = row_supports(rows)
+            self._pending_rows = rows
+            sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
         return supports
 
     def retain(self, indices: np.ndarray) -> None:

@@ -16,6 +16,7 @@ from repro.bitset.hybrid import (
 from repro.core.sharding import ShardPlan
 from repro.datasets import TransactionDatabase
 from repro.datasets.characterize import profile_database
+from repro.errors import BitsetError
 
 
 @pytest.fixture
@@ -135,8 +136,8 @@ class TestCounting:
         )
 
     def test_pure_sparse_and_pure_dense_candidates(self, matrix):
-        # candidates entirely on one side exercise the popcount-only
-        # and probe-into-all-ones paths
+        # candidates entirely on one side exercise the dense-block and
+        # densified-table paths
         layout = HybridLayout.from_matrix(matrix, 0.5)
         dense_items = np.nonzero(layout.row_map >= 0)[0]
         sparse_items = np.nonzero(layout.row_map < 0)[0]
@@ -147,6 +148,11 @@ class TestCounting:
                 hybrid_supports(layout, cand),
                 support_many(matrix, cand),
             )
+
+    def test_rejects_empty_candidates(self, matrix):
+        layout = HybridLayout.from_matrix(matrix, 0.5)
+        with pytest.raises(BitsetError, match="k >= 1"):
+            hybrid_supports(layout, np.zeros((3, 0), dtype=np.int32))
 
     def test_densify_rows_reconstructs_matrix_rows(self, matrix):
         layout = HybridLayout.from_matrix(matrix, 0.5)
@@ -204,3 +210,45 @@ class TestSharding:
             ShardPlan.for_layout(
                 layout, memory_budget_bytes=layout.riding_bytes
             )
+
+
+class TestBuildersMatchPerItemLoops:
+    """The vectorized layout constructors against per-item reference
+    loops, on multi-word rows (aligned and odd widths) with empty items."""
+
+    @pytest.fixture(params=[True, False], ids=["aligned", "unaligned"])
+    def wide(self, request):
+        rng = np.random.default_rng(11)
+        rows = [
+            np.nonzero(rng.random(9) < [0.9, 0.6, 0.3, 0.1, 0.05, 0.02, 0.01, 0, 0])[0]
+            for _ in range(333)
+        ]
+        return BitsetMatrix.from_database(
+            TransactionDatabase(rows, n_items=9), aligned=request.param
+        )
+
+    def test_from_matrix_tids(self, wide):
+        layout = HybridLayout.from_matrix(wide, 0.2)
+        assert layout.n_dense and layout.n_sparse
+        for item in np.nonzero(layout.row_map < 0)[0]:
+            slot = -int(layout.row_map[item]) - 1
+            lo, hi = layout.sparse_offsets[slot], layout.sparse_offsets[slot + 1]
+            np.testing.assert_array_equal(
+                layout.sparse_tids[lo:hi], wide.tidset(int(item))
+            )
+
+    def test_slice_shard_tids(self, wide):
+        layout = HybridLayout.from_matrix(wide, 0.2)
+        for shard in ShardPlan.for_layout(layout, shards=4).shards:
+            sub = layout.slice_shard(shard)
+            for slot in range(layout.n_sparse):
+                lo, hi = layout.sparse_offsets[slot], layout.sparse_offsets[slot + 1]
+                seg = layout.sparse_tids[lo:hi]
+                want = seg[(seg >= shard.tid_start) & (seg < shard.tid_stop)]
+                got = sub.sparse_tids[sub.sparse_offsets[slot]:sub.sparse_offsets[slot + 1]]
+                np.testing.assert_array_equal(got, want - shard.tid_start)
+
+    def test_densify_rows_any_order(self, wide):
+        layout = HybridLayout.from_matrix(wide, 0.2)
+        items = np.array([8, 3, 0, 5, 5, 1, 6], dtype=np.int32)
+        np.testing.assert_array_equal(densify_rows(layout, items), wide.words[items])

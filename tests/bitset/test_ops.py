@@ -14,6 +14,8 @@ from repro.bitset import (
     support_words,
     tile_bounds,
 )
+from repro.bitset import ops
+from repro.bitset.hybrid import HybridLayout, hybrid_supports
 from repro.bitset.ops import _POPCOUNT16
 from repro.errors import BitsetError
 
@@ -177,3 +179,22 @@ class TestSupportWords:
             for a, b in tile_bounds(len(cands), m.n_words * 4, min_tiles=3)
         ]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+class TestLookupTablePath:
+    """NumPy < 2 has no ``np.bitwise_count``; the core then counts each
+    ``uint64`` block through :func:`popcount_words` on its ``uint32``
+    view, and must give the same supports."""
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_same_supports_without_bitwise_count(self, small_db, aligned, monkeypatch):
+        m = BitsetMatrix.from_database(small_db, aligned=aligned)
+        layout = HybridLayout.from_matrix(m, 0.3)
+        assert layout.n_dense and layout.n_sparse
+        rng = np.random.default_rng(7)
+        cands = rng.integers(0, m.n_items, size=(200, 3))
+        expected = (support_words(m.words, cands), hybrid_supports(layout, cands))
+        monkeypatch.setattr(ops, "_HAS_BITWISE_COUNT", False)
+        assert np.array_equal(support_words(m.words, cands), expected[0])
+        assert np.array_equal(hybrid_supports(layout, cands), expected[1])
+        assert np.array_equal(expected[0], expected[1])
