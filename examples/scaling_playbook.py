@@ -5,7 +5,7 @@ Three ways to scale GPApriori past a single GPU-as-accelerator run,
 all implemented in this reproduction:
 
 1. **Hybrid CPU+GPU** — split every generation between the host CPU
-   and the GPU so both finish together (`repro.core.hybrid`).
+   and the GPU so both finish together (`repro.core.balance`).
 2. **Multi-GPU** — partition candidate buffers over the S1070's four
    T10s (`repro.core.multigpu`).
 3. **GPU Eclat** — depth-first equivalence-class mining, each class one

@@ -28,7 +28,7 @@ from .core.gpapriori import gpapriori_mine
 from .core.fleet import FleetEngine, FleetPlan
 from .core.sharding import ShardPlan, ShardedEngine
 from .core.gpu_eclat import gpu_eclat_mine
-from .core.hybrid import ModelBalancer, StaticBalancer, hybrid_mine
+from .core.balance import ModelBalancer, StaticBalancer, hybrid_mine
 from .core.itemset import Itemset, MiningResult, RunMetrics
 from .core.multigpu import MultiGpuResult, multigpu_mine, scaling_efficiency
 from .errors import ReproError

@@ -23,16 +23,14 @@ Two execution details:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 import numpy as np
 
 from .._validation import check_support
+from ..core.itemset import MiningResult, RunMetrics
+from ..core.levelwise import levelwise
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
 from ..obs import mining_run, span
-from ..trie.generation import join_frequent
-from ..core.itemset import MiningResult, RunMetrics
 
 __all__ = ["goethals_mine"]
 
@@ -46,43 +44,25 @@ def goethals_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     cost = CpuCostModel()
 
     with mining_run("goethals", metrics):
-        found: Dict[Tuple[int, ...], int] = {}
-
-        item_supports = db.item_supports()
-        metrics.generations.append(db.n_items)
         items_touched = int(db.items_flat.size)
-        frequent_level: List[Tuple[int, ...]] = []
-        for item in np.nonzero(item_supports >= min_count)[0]:
-            key = (int(item),)
-            found[key] = int(item_supports[item])
-            frequent_level.append(key)
 
-        k = 1
-        while frequent_level:
-            if max_k is not None and k >= max_k:
-                break
-            candidates = join_frequent(frequent_level)
-            if not candidates:
-                break
-            metrics.generations.append(len(candidates))
-            with span("count", candidates=len(candidates), k=k + 1):
-                cand_mat = np.asarray(candidates, dtype=np.int64)
-                counts = np.zeros(len(candidates), dtype=np.int64)
+        def count(candidates: np.ndarray, parents) -> np.ndarray:
+            nonlocal items_touched
+            n, k = candidates.shape
+            if k == 1:
+                return db.item_supports()
+            with span("count", candidates=n, k=k):
+                counts = np.zeros(n, dtype=np.int64)
                 for row in db:
-                    if row.size < k + 1:
+                    if row.size < k:
                         continue
                     # flat-list subset tests over every candidate (no trie):
-                    contained = np.isin(cand_mat, row).all(axis=1)
-                    counts += contained
-                    items_touched += len(candidates) * (k + 1 + int(row.size))
-            metrics.add_counter("candidates_counted", len(candidates))
-            frequent_level = []
-            for ci, cand in enumerate(candidates):
-                if counts[ci] >= min_count:
-                    found[cand] = int(counts[ci])
-                    frequent_level.append(cand)
-            k += 1
+                    counts += np.isin(candidates, row).all(axis=1)
+                    items_touched += n * (k + int(row.size))
+            metrics.add_counter("candidates_counted", n)
+            return counts
 
+        found = levelwise(db.n_items, min_count, count, metrics, max_k)
         metrics.add_counter("items_scanned", items_touched)
         metrics.add_modeled("cpu_scan", cost.scan_time(items_touched))
 

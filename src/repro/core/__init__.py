@@ -10,7 +10,8 @@
   executed by the :mod:`repro.gpusim` simulator.
 * :mod:`~repro.core.support` — two of the three interchangeable
   counting engines: ``vectorized`` (NumPy, fast) and ``simulated``
-  (kernel-faithful, for validation).
+  (kernel-faithful, for validation), and ``price_batch``, the one
+  modeled price of a counting batch.
 * :mod:`~repro.core.parallel` — the third engine: ``parallel``, the
   vectorized arithmetic sharded over a worker-process pool reading the
   bitsets from shared memory.
@@ -19,6 +20,8 @@
   budget and the :class:`~repro.core.sharding.ShardedEngine` that
   streams shards through any of the three engines.
 * :mod:`~repro.core.gpapriori` — the host-side mining driver.
+* :mod:`~repro.core.balance` — the load-balanced CPU+GPU miner
+  (``algorithm="hybrid"``; unrelated to the hybrid *layout*).
 * :mod:`~repro.core.api` — the ``mine()`` facade and algorithm registry.
 """
 
@@ -30,7 +33,7 @@ from .parallel import ParallelEngine
 from .sharding import Shard, ShardPlan, ShardedEngine, slice_matrix
 from .fleet import FleetEngine, FleetPlan
 from .gpapriori import gpapriori_mine
-from .hybrid import ModelBalancer, StaticBalancer, hybrid_mine
+from .balance import ModelBalancer, StaticBalancer, hybrid_mine
 from .multigpu import MultiGpuResult, multigpu_mine, scaling_efficiency
 from .gpu_eclat import gpu_eclat_mine
 from .api import ALGORITHMS, mine

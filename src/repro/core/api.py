@@ -134,7 +134,7 @@ ALGORITHMS: Dict[str, AlgorithmInfo] = {
         name="Hybrid CPU+GPU",
         platform="Single thread GPU + single thread CPU, concurrent",
         layout="static bitset (vertical)",
-        runner=_lazy("repro.core.hybrid", "hybrid_mine"),
+        runner=_lazy("repro.core.balance", "hybrid_mine"),
         description="The paper's future-work load-balanced CPU/GPU "
         "model: each generation's candidates split so modeled finish "
         "times equalize.",

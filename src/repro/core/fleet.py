@@ -47,7 +47,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import HybridLayout, count_cost_stats
+from ..bitset.hybrid import HybridLayout
 from ..errors import GpuSimError, MiningError
 from ..faults.degrade import record_degradation
 from ..faults.injection import fault_point
@@ -56,7 +56,7 @@ from ..obs import span
 from .config import GPAprioriConfig
 from .itemset import RunMetrics
 from .sharding import ShardPlan
-from .support import SimulatedEngine, SupportEngine
+from .support import SimulatedEngine, SupportEngine, price_batch
 
 __all__ = ["DEFAULT_DEVICES", "FleetEngine", "FleetPlan", "resolve_devices"]
 
@@ -165,34 +165,13 @@ class FleetEngine(SupportEngine):
         replica_bytes = int(
             hybrid.device_bytes if hybrid is not None else matrix.nbytes
         )
-        shard_plan = None
-        if self._member_config.sharded:
-            budget = self._member_config.memory_budget_bytes
-            if budget is not None:
-                budget = min(budget, self.device.global_mem_bytes)
-            if hybrid is not None:
-                shard_plan = ShardPlan.for_layout(
-                    hybrid,
-                    shards=self._member_config.shards,
-                    memory_budget_bytes=budget,
-                )
-            else:
-                shard_plan = ShardPlan.for_matrix(
-                    matrix,
-                    shards=self._member_config.shards,
-                    memory_budget_bytes=budget,
-                )
-        self.plan = FleetPlan(
-            n_devices=self.n_devices,
-            replica_bytes=replica_bytes,
-            shard_plan=shard_plan,
-        )
+        sharded = self._member_config.sharded
         with span(
             "transfer",
             kind="fleet_install",
             devices=self.n_devices,
             replica_bytes=replica_bytes,
-            sharded=shard_plan is not None,
+            sharded=sharded,
         ):
             for d in range(self.n_devices):
                 engine = self._make_member()
@@ -210,6 +189,13 @@ class FleetEngine(SupportEngine):
                     engine.setup(matrix, hybrid=hybrid)
                 self.engines.append(engine)
                 self.alive.append(True)
+        # sharded members all planned the same ShardPlan over identical
+        # replicas; the fleet records the first one's
+        self.plan = FleetPlan(
+            n_devices=self.n_devices,
+            replica_bytes=replica_bytes,
+            shard_plan=self.engines[0].plan if sharded else None,
+        )
         upload = self.cost.transfer_time(replica_bytes).seconds
         self._makespan_seconds += upload
         self._single_device_seconds += upload
@@ -217,8 +203,8 @@ class FleetEngine(SupportEngine):
         reg.set_gauge("fleet.devices", self.n_devices)
         reg.set_gauge("fleet.devices_alive", self.n_devices)
         reg.set_gauge("fleet.replica_bytes", replica_bytes)
-        if shard_plan is not None:
-            reg.set_gauge("fleet.shards_per_device", shard_plan.n_shards)
+        if sharded:
+            reg.set_gauge("fleet.shards_per_device", self.plan.shard_plan.n_shards)
 
     def finalize(self) -> None:
         """Publish member stats plus the fleet's modeled clocks."""
@@ -265,46 +251,18 @@ class FleetEngine(SupportEngine):
             device=d,
         )
 
-    def _slice_seconds(self, candidates: np.ndarray, k: int) -> float:
+    def _slice_seconds(self, candidates: np.ndarray) -> float:
         """Modeled wall-clock for one device counting one slice.
 
         Candidate-ids upload + support kernel + supports download —
         the per-device fixed cost (two PCIe latencies plus the launch
         overhead) is what candidate-parallel scaling amortizes.
         """
-        n = int(candidates.shape[0])
-        if n == 0:
-            return 0.0
-        cfg = self.config
-        total = self.cost.transfer_time(n * k * 4).seconds
-        if self._hybrid is not None:
-            dense_entries, sparse_tids = count_cost_stats(
-                self._hybrid, candidates
-            )
-            kc = self.cost.hybrid_support_kernel_time(
-                n_candidates=n,
-                k=k,
-                n_words=self.n_words,
-                dense_entries=dense_entries,
-                sparse_tids=sparse_tids,
-                block_size=cfg.block_size,
-                preload_candidates=cfg.preload_candidates,
-                unroll=cfg.unroll,
-                coalescing_factor=1.0 if cfg.aligned else 2.0,
-            )
-        else:
-            kc = self.cost.support_kernel_time(
-                n_candidates=n,
-                k=k,
-                n_words=self.n_words,
-                block_size=cfg.block_size,
-                preload_candidates=cfg.preload_candidates,
-                unroll=cfg.unroll,
-                coalescing_factor=1.0 if cfg.aligned else 2.0,
-            )
-        total += kc.seconds
-        total += self.cost.transfer_time(n * 8).seconds
-        return total
+        n, k = candidates.shape
+        price = price_batch(
+            "complete", n, k, self.n_words, self.cost, self.config, self._hybrid, candidates
+        )
+        return price.seconds
 
     # -- interface ---------------------------------------------------------------
 
@@ -359,9 +317,9 @@ class FleetEngine(SupportEngine):
                     self._retire_device(d, exc)
                     queue.append((start, stop))
                     continue
-                busy[d] = busy.get(d, 0.0) + self._slice_seconds(block, k)
+                busy[d] = busy.get(d, 0.0) + self._slice_seconds(block)
             gen_makespan = max(busy.values()) if busy else 0.0
-            single = self._slice_seconds(candidates, k)
+            single = self._slice_seconds(candidates)
             self._makespan_seconds += gen_makespan
             self._single_device_seconds += single
             self.metrics.add_counter("fleet.generations", 1)

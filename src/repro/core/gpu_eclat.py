@@ -33,6 +33,7 @@ from ..gpusim.perfmodel import GpuCostModel
 from ..obs import mining_run, span
 from .config import GPAprioriConfig
 from .itemset import MiningResult, RunMetrics
+from .support import price_batch
 
 __all__ = ["gpu_eclat_mine"]
 
@@ -97,13 +98,9 @@ def gpu_eclat_mine(
                 new_rows = rows[idx] & rows[idx + 1 :]
                 new_supports = row_supports(new_rows)
                 launches += 1
-                metrics.add_modeled(
-                    "kernel",
-                    model.extend_kernel_time(
-                        n_pairs, n_words, config.block_size
-                    ).seconds,
-                )
-                metrics.add_counter("bitset_words_anded", n_pairs * 2 * n_words)
+                price = price_batch("extend", n_pairs, 2, n_words, model, config)
+                metrics.add_modeled("kernel", price.kernel)
+                metrics.add_counter("bitset_words_anded", price.dense_entries * n_words)
                 keep = new_supports >= min_count
                 if not keep.any():
                     continue

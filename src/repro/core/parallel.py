@@ -400,7 +400,7 @@ class ParallelEngine(SupportEngine):
             else:
                 supports = np.concatenate(results)
                 self._record_tiles(sp, bounds, dispatched=True)
-            sp.set(**self._charge_complete(n, k, candidates))
+            sp.set(**self._charge("complete", candidates))
         return supports
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
@@ -450,7 +450,7 @@ class ParallelEngine(SupportEngine):
                 supports = np.concatenate(results)
                 self._record_tiles(sp, bounds, dispatched=True)
             self._pending_pairs = pairs
-            sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
+            sp.set(**self._charge("extend", pairs, gen1))
         return supports
 
     def _extend_rows(self, pairs: np.ndarray) -> np.ndarray:

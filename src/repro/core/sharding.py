@@ -39,13 +39,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..bitset.bitset import WORD_BITS, WORDS_PER_ALIGN, BitsetMatrix, words_for
-from ..bitset.hybrid import HybridLayout, count_cost_stats
+from ..bitset.hybrid import HybridLayout
 from ..errors import ConfigError, DeviceMemoryError
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..obs import span
 from .config import GPAprioriConfig
 from .itemset import RunMetrics
-from .support import SupportEngine
+from .support import SupportEngine, price_batch
 
 __all__ = ["Shard", "ShardPlan", "ShardedEngine", "slice_matrix"]
 
@@ -347,6 +347,8 @@ class ShardedEngine(SupportEngine):
         self.engines: List[SupportEngine] = []
         self._shard_layouts: List[HybridLayout] = []
         self._rounds = 0
+        # extend bases are raw item ids until the first retain()
+        self._gen1_base = True
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -435,70 +437,13 @@ class ShardedEngine(SupportEngine):
 
     # -- double-buffered slab streaming ------------------------------------------
 
-    def _kernel_estimate(
+    def _charge_stream(
         self,
         kind: str,
         n: int,
         k: int,
-        shard_idx: int,
-        items: Optional[np.ndarray],
-    ) -> float:
-        """Modeled kernel seconds for one shard of this generation.
-
-        Deterministic in (candidates, plan, layout): the hybrid branch
-        prices the mixed intersection from :func:`count_cost_stats` of
-        the shard's sliced layout, never from the execution path, so
-        every engine choice models the same stream overlap.
-        """
-        cfg = self.config
-        assert self.plan is not None
-        n_words = self.plan.shards[shard_idx].n_words
-        coalescing = 1.0 if cfg.aligned else 2.0
-        if self._shard_layouts:
-            lay = self._shard_layouts[shard_idx]
-            d_ent, s_tids = count_cost_stats(lay, items)
-            if kind == "extend":
-                kc = self.cost.hybrid_extend_kernel_time(
-                    n_candidates=n,
-                    n_words=n_words,
-                    dense_entries=n + d_ent,
-                    sparse_tids=s_tids,
-                    block_size=cfg.block_size,
-                    coalescing_factor=coalescing,
-                )
-            else:
-                kc = self.cost.hybrid_support_kernel_time(
-                    n_candidates=n,
-                    k=k,
-                    n_words=n_words,
-                    dense_entries=d_ent,
-                    sparse_tids=s_tids,
-                    block_size=cfg.block_size,
-                    preload_candidates=cfg.preload_candidates,
-                    unroll=cfg.unroll,
-                    coalescing_factor=coalescing,
-                )
-        elif kind == "extend":
-            kc = self.cost.extend_kernel_time(
-                n_candidates=n,
-                n_words=n_words,
-                block_size=cfg.block_size,
-                coalescing_factor=coalescing,
-            )
-        else:
-            kc = self.cost.support_kernel_time(
-                n_candidates=n,
-                k=k,
-                n_words=n_words,
-                block_size=cfg.block_size,
-                preload_candidates=cfg.preload_candidates,
-                unroll=cfg.unroll,
-                coalescing_factor=coalescing,
-            )
-        return kc.seconds
-
-    def _charge_stream(
-        self, kind: str, n: int, k: int, items: Optional[np.ndarray] = None
+        items: np.ndarray,
+        base: Optional[np.ndarray] = None,
     ) -> None:
         """Price this round's slab re-streaming, double-buffered.
 
@@ -507,7 +452,10 @@ class ShardedEngine(SupportEngine):
         ``DOUBLE_BUFFER`` of them fit the budget at once). Upload of
         shard ``i+1`` overlaps the kernel on shard ``i``, so the charge
         is the first slab's transfer plus whatever later transfers the
-        kernels fail to hide.
+        kernels fail to hide. Each shard's kernel is the
+        :func:`~repro.core.support.price_batch` of this batch over the
+        shard's slice, which is what its inner engine charges; the
+        ``shard_stream`` span records them.
         """
         self._rounds += 1
         if self.plan is None or self.plan.n_shards < 2 or self._rounds == 1:
@@ -518,14 +466,18 @@ class ShardedEngine(SupportEngine):
             self.cost.transfer_time(s.slab_bytes(n_items)).seconds for s in shards
         ]
         if self.plan.double_buffered:
+            layouts = self._shard_layouts or [None] * len(shards)
             kernels = [
-                self._kernel_estimate(kind, n, k, i, items)
-                for i in range(len(shards))
+                price_batch(
+                    kind, n, k, s.n_words, self.cost, self.config, lay, items, base
+                ).kernel
+                for s, lay in zip(shards, layouts)
             ]
             exposed = transfers[0] + sum(
                 max(0.0, t - kern) for t, kern in zip(transfers[1:], kernels[:-1])
             )
         else:
+            kernels = []
             exposed = sum(transfers)  # one slab resident: nothing overlaps
         hidden = sum(transfers) - exposed
         stream_bytes = self.plan.total_bytes
@@ -543,6 +495,7 @@ class ShardedEngine(SupportEngine):
             sp.set(
                 modeled_exposed_seconds=exposed,
                 modeled_hidden_seconds=hidden,
+                modeled_shard_kernel_seconds=kernels,
             )
 
     # -- counting ----------------------------------------------------------------
@@ -570,7 +523,10 @@ class ShardedEngine(SupportEngine):
         engines = self._require_engines()
         pairs = np.asarray(pairs)
         n = pairs.shape[0]
-        self._charge_stream("extend", n, 2, pairs[:, 1] if n else pairs)
+        items, base = pairs, None
+        if n:
+            items, base = pairs[:, 1], pairs[:, 0] if self._gen1_base else None
+        self._charge_stream("extend", n, 2, items, base)
         total = np.zeros(n, dtype=np.int64)
         for engine in engines:
             total += engine.count_extend(pairs)
@@ -579,3 +535,4 @@ class ShardedEngine(SupportEngine):
     def retain(self, indices: np.ndarray) -> None:
         for engine in self._require_engines():
             engine.retain(indices)
+        self._gen1_base = False

@@ -12,6 +12,15 @@ All engines expose the same three operations the mining driver needs:
   the equivalence-class alternative, extending cached prefix rows;
 * modeled-cost accounting into a :class:`~repro.core.itemset.RunMetrics`.
 
+One function, :func:`price_batch`, prices every counting batch on the
+modeled Tesla T10: candidate upload, kernel and support download, plus
+the dense-row and tid-list traffic. Only it picks the kernel model for
+the kind (complete or extend) and layout (dense or hybrid), calls
+:func:`~repro.bitset.hybrid.count_cost_stats` and maps
+``config.aligned`` to a coalescing factor. The engines record its
+output; the shard stream, fleet clock, CPU/GPU balancer and GPU Eclat
+call it for their own estimates.
+
 The vectorized engine computes the same arithmetic with whole-array
 NumPy ops and is the production path. The simulated engine executes
 the genuine kernels thread-by-thread on :mod:`repro.gpusim` — slow, but
@@ -22,7 +31,7 @@ for the same run, which the test suite asserts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,7 +60,86 @@ from .kernels import (
     support_count_kernel,
 )
 
-__all__ = ["SupportEngine", "VectorizedEngine", "SimulatedEngine", "make_engine"]
+__all__ = [
+    "BatchPrice",
+    "SupportEngine",
+    "VectorizedEngine",
+    "SimulatedEngine",
+    "make_engine",
+    "price_batch",
+]
+
+
+class BatchPrice(NamedTuple):
+    """Modeled seconds and traffic of one counting batch."""
+
+    htod: float
+    kernel: float
+    dtoh: float
+    dense_entries: int
+    """Rows read from dense storage: bitset rows and cached prefix rows."""
+    sparse_tids: int
+    """Tid-list entries walked (hybrid layout only)."""
+
+    @property
+    def seconds(self) -> float:
+        """Upload, kernel and download back to back."""
+        return self.htod + self.kernel + self.dtoh
+
+
+def price_batch(
+    kind: str,
+    n: int,
+    k: int,
+    n_words: int,
+    cost: GpuCostModel,
+    config: GPAprioriConfig,
+    layout: Optional[HybridLayout] = None,
+    items: Optional[np.ndarray] = None,
+    base: Optional[np.ndarray] = None,
+) -> BatchPrice:
+    """Price ``n`` candidates of length ``k`` counted over ``n_words`` words.
+
+    ``kind`` is ``"complete"`` (AND all ``k`` generation-1 rows) or
+    ``"extend"`` (``k=2``: AND a base row with one item row and write
+    the result back). Under a hybrid ``layout``, ``items`` holds the
+    item ids the batch resolves through it: the whole candidate buffer
+    for complete intersection, the item column for extend. ``base``
+    holds the extend base ids in the first extend generation, while
+    they are still raw items; later bases are dense cached prefix rows.
+    """
+    if kind not in ("complete", "extend"):
+        raise MiningError(f"unknown counting kind {kind!r}")
+    shape = dict(
+        n_candidates=n,
+        n_words=n_words,
+        block_size=config.block_size,
+        coalescing_factor=1.0 if config.aligned else 2.0,
+    )
+    if kind == "complete":
+        shape.update(k=k, preload_candidates=config.preload_candidates, unroll=config.unroll)
+    if layout is None:
+        dense_entries, sparse_tids = n * k, 0
+        model = cost.support_kernel_time if kind == "complete" else cost.extend_kernel_time
+        kc = model(**shape)
+    else:
+        dense_entries, sparse_tids = count_cost_stats(layout, items)
+        if kind == "extend":
+            d_base, s_base = (n, 0) if base is None else count_cost_stats(layout, base)
+            dense_entries += d_base
+            sparse_tids += s_base
+        if kind == "complete":
+            model = cost.hybrid_support_kernel_time
+        else:
+            model = cost.hybrid_extend_kernel_time
+        kc = model(dense_entries=dense_entries, sparse_tids=sparse_tids, **shape)
+    return BatchPrice(
+        htod=cost.transfer_time(n * k * 4).seconds,
+        kernel=kc.seconds,
+        dtoh=cost.transfer_time(n * 8).seconds,
+        dense_entries=dense_entries,
+        sparse_tids=sparse_tids,
+    )
 
 
 def _check_retain_indices(indices: np.ndarray, n_pending: int) -> np.ndarray:
@@ -151,111 +239,38 @@ class SupportEngine:
         """Publish accumulated kernel stats into the metric registry."""
         self.kernel_stats.publish(self.metrics.registry)
 
-    def _charge_complete(
-        self, n: int, k: int, candidates: Optional[np.ndarray] = None
-    ) -> dict:
-        """Account modeled costs for one complete-intersection batch.
+    def _charge(self, kind: str, batch: np.ndarray, gen1_base: bool = False) -> dict:
+        """Record one counting batch's :func:`price_batch` in the metrics.
 
-        Under the hybrid layout the kernel traffic comes from
-        :func:`~repro.bitset.hybrid.count_cost_stats` — a pure function
-        of (layout, candidates) — so all three engines charge identical
-        modeled costs for the same batch. Returns the per-phase modeled
-        seconds so callers can attach them as span attributes.
+        ``batch`` is the ``(n, k)`` candidate buffer, or for
+        ``kind="extend"`` the ``(n, 2)`` (base, item) pairs, where
+        ``gen1_base`` marks the first extend generation: its base ids
+        are raw items, not cached prefix rows. Returns the per-phase
+        modeled seconds so callers can attach them as span attributes.
         """
+        n, k = batch.shape
+        items, base = batch, None
+        if kind == "extend":
+            items, base = batch[:, 1], batch[:, 0] if gen1_base else None
         n_words = self.n_words
-        cfg = self.config
-        htod = self.cost.transfer_time(n * k * 4).seconds
-        self.metrics.add_modeled("htod_candidates", htod)
+        price = price_batch(
+            kind, n, k, n_words, self.cost, self.config, self._hybrid, items, base
+        )
+        m = self.metrics
+        m.add_modeled("htod_candidates", price.htod)
+        m.add_counter("bitset_words_anded", price.dense_entries * n_words)
         if self._hybrid is not None:
-            dense_entries, sparse_tids = count_cost_stats(
-                self._hybrid, candidates
-            )
-            kc = self.cost.hybrid_support_kernel_time(
-                n_candidates=n,
-                k=k,
-                n_words=n_words,
-                dense_entries=dense_entries,
-                sparse_tids=sparse_tids,
-                block_size=cfg.block_size,
-                preload_candidates=cfg.preload_candidates,
-                unroll=cfg.unroll,
-                coalescing_factor=1.0 if cfg.aligned else 2.0,
-            )
-            self.metrics.add_counter("bitset_words_anded", dense_entries * n_words)
-            self.metrics.add_counter("sparse_tids_probed", sparse_tids)
-        else:
-            kc = self.cost.support_kernel_time(
-                n_candidates=n,
-                k=k,
-                n_words=n_words,
-                block_size=cfg.block_size,
-                preload_candidates=cfg.preload_candidates,
-                unroll=cfg.unroll,
-                coalescing_factor=1.0 if cfg.aligned else 2.0,
-            )
-            self.metrics.add_counter("bitset_words_anded", n * k * n_words)
-        self.metrics.add_modeled("kernel", kc.seconds)
-        dtoh = self.cost.transfer_time(n * 8).seconds
-        self.metrics.add_modeled("dtoh_supports", dtoh)
-        self.metrics.add_counter("popcounts", n * n_words)
-        self.metrics.add_counter("candidates_counted", n)
+            m.add_counter("sparse_tids_probed", price.sparse_tids)
+        m.add_modeled("kernel", price.kernel)
+        m.add_modeled("dtoh_supports", price.dtoh)
+        m.add_counter("popcounts", n * n_words)
+        m.add_counter("candidates_counted", n)
+        if kind == "extend":
+            m.add_counter("prefix_row_bytes_written", n * n_words * 4)
         return {
-            "modeled_htod_seconds": htod,
-            "modeled_kernel_seconds": kc.seconds,
-            "modeled_dtoh_seconds": dtoh,
-        }
-
-    def _charge_extend(
-        self,
-        n: int,
-        pairs: Optional[np.ndarray] = None,
-        gen1_base: bool = False,
-    ) -> dict:
-        """Account modeled costs for one extend batch (see above).
-
-        ``gen1_base`` marks the first extend generation, where the base
-        side indexes raw item ids that resolve through the hybrid
-        layout; afterwards the base is always the dense prefix cache.
-        """
-        n_words = self.n_words
-        htod = self.cost.transfer_time(n * 2 * 4).seconds
-        self.metrics.add_modeled("htod_candidates", htod)
-        if self._hybrid is not None:
-            d_item, s_item = count_cost_stats(self._hybrid, pairs[:, 1])
-            if gen1_base:
-                d_base, s_base = count_cost_stats(self._hybrid, pairs[:, 0])
-            else:
-                d_base, s_base = n, 0
-            dense_entries = d_item + d_base
-            sparse_tids = s_item + s_base
-            kc = self.cost.hybrid_extend_kernel_time(
-                n_candidates=n,
-                n_words=n_words,
-                dense_entries=dense_entries,
-                sparse_tids=sparse_tids,
-                block_size=self.config.block_size,
-                coalescing_factor=1.0 if self.config.aligned else 2.0,
-            )
-            self.metrics.add_counter("bitset_words_anded", dense_entries * n_words)
-            self.metrics.add_counter("sparse_tids_probed", sparse_tids)
-        else:
-            kc = self.cost.extend_kernel_time(
-                n_candidates=n,
-                n_words=n_words,
-                block_size=self.config.block_size,
-                coalescing_factor=1.0 if self.config.aligned else 2.0,
-            )
-            self.metrics.add_counter("bitset_words_anded", n * 2 * n_words)
-        self.metrics.add_modeled("kernel", kc.seconds)
-        dtoh = self.cost.transfer_time(n * 8).seconds
-        self.metrics.add_modeled("dtoh_supports", dtoh)
-        self.metrics.add_counter("popcounts", n * n_words)
-        self.metrics.add_counter("candidates_counted", n)
-        self.metrics.add_counter("prefix_row_bytes_written", n * n_words * 4)
-        return {
-            "modeled_htod_seconds": htod,
-            "modeled_kernel_seconds": kc.seconds,
-            "modeled_dtoh_seconds": dtoh,
+            "modeled_htod_seconds": price.htod,
+            "modeled_kernel_seconds": price.kernel,
+            "modeled_dtoh_seconds": price.dtoh,
         }
 
     # -- interface ----------------------------------------------------------------
@@ -290,7 +305,7 @@ class VectorizedEngine(SupportEngine):
                 supports = hybrid_supports(self._hybrid, candidates)
             else:
                 supports = support_many(self.matrix, candidates)
-            sp.set(**self._charge_complete(n, k, candidates))
+            sp.set(**self._charge("complete", candidates))
         return supports
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
@@ -314,7 +329,7 @@ class VectorizedEngine(SupportEngine):
                 rows = base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
                 supports = row_supports(rows)
             self._pending_rows = rows
-            sp.set(**self._charge_extend(n, pairs, gen1_base=gen1))
+            sp.set(**self._charge("extend", pairs, gen1))
         return supports
 
     def retain(self, indices: np.ndarray) -> None:
@@ -489,7 +504,7 @@ class SimulatedEngine(SupportEngine):
                     if sup_buf is not None:
                         self.memory.free(sup_buf)
                     self.memory.free(cand_buf)
-            sp.set(chunks=-(-n // chunk), **self._charge_complete(n, k, candidates))
+            sp.set(chunks=-(-n // chunk), **self._charge("complete", candidates))
         return out
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
@@ -602,7 +617,7 @@ class SimulatedEngine(SupportEngine):
             self._pending_buf = out_rows
             sp.set(
                 chunks=-(-n // chunk),
-                **self._charge_extend(n, pairs, gen1_base=gen1),
+                **self._charge("extend", pairs, gen1),
             )
         return supports
 

@@ -287,8 +287,10 @@ def mining_run(algorithm: str, metrics=None, **attrs: Any):
     or not tracing is active, and when a tracer *is* active the whole
     run sits under one comparable ``mining_run`` root span.
     """
-    t0 = time.perf_counter()
     with span("mining_run", algorithm=algorithm, **attrs) as sp:
+        # timed inside the span, so the wall clock and the root span
+        # measure one interval
+        t0 = time.perf_counter()
         try:
             yield sp
         finally:
