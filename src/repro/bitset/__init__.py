@@ -31,7 +31,7 @@ from .hybrid import (
     auto_dense_threshold,
     choose_layout,
     hybrid_supports,
-    hybrid_extend_rows,
+    hybrid_tables,
     densify_rows,
 )
 
@@ -59,6 +59,6 @@ __all__ = [
     "auto_dense_threshold",
     "choose_layout",
     "hybrid_supports",
-    "hybrid_extend_rows",
+    "hybrid_tables",
     "densify_rows",
 ]

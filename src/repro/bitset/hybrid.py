@@ -12,14 +12,16 @@ by density.
 threshold as a 64-byte-aligned bitset row (exactly the rows the static
 layout would hold) and demotes the rest to sorted tid-lists. The
 layout is a memory and transfer saving, not a second way to count: on
-the host, :func:`hybrid_supports` maps candidates onto the one counting
-core, :func:`~repro.bitset.ops.support_words`. All-dense candidates
-count off the dense block; candidates with a sparse member count off a
-transient table of densified rows for just the items they reference,
-at most ``distinct items × n_words × 4`` bytes (about 2.3 MB on the
-T40I10D100K analog at scale 0.5). The simulated engine keeps the
-genuine mixed-mode device kernels in :mod:`repro.core.kernels`, where
-each thread probes a sparse member's tid-list for the word it ANDs.
+the host it only resolves item ids to tables. :func:`hybrid_tables`
+maps all-dense candidates onto the dense block and candidates with a
+sparse member onto one table of densified rows for just the items they
+reference, at most ``distinct items × n_words × 4`` bytes (about 2.3 MB
+on the T40I10D100K analog at scale 0.5), built once per batch. Each
+group then counts on the one counting core,
+:func:`~repro.bitset.ops.support_words`, wherever the engine runs it:
+in process, or on the parallel engine's workers. The simulated engine
+keeps the genuine mixed-mode device kernels in :mod:`repro.core.kernels`,
+where each thread probes a sparse member's tid-list for the word it ANDs.
 
 The break-even threshold is exact: an aligned row costs
 ``n_words * 4`` bytes while a tid-list costs ``4 * support`` bytes, so
@@ -29,26 +31,26 @@ an item stores smaller as a tid-list iff its support is below
 computes that, and ``layout="auto"`` additionally falls back to the
 all-dense layout whenever hybridizing would not actually save bytes.
 
-Everything here is NumPy-level host code shared by the vectorized and
-parallel engines and by the tests that pin the simulated kernels.
+Everything here is NumPy-level host code that runs in the engine's own
+process; the tests that pin the simulated kernels use it too.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import BitsetError
 from .bitset import WORD_BITS, BitsetMatrix, words_for
-from .ops import row_supports, support_words, tile_bounds
+from .ops import support_words, tile_bounds
 
 __all__ = [
     "HybridLayout",
     "auto_dense_threshold",
     "choose_layout",
     "hybrid_supports",
-    "hybrid_extend_rows",
+    "hybrid_tables",
     "densify_rows",
     "count_cost_stats",
 ]
@@ -220,7 +222,7 @@ class HybridLayout:
         n_transactions: int,
         dense_threshold: float = 0.0,
     ) -> "HybridLayout":
-        """Rebuild from raw arrays (shard slices, shared-memory workers)."""
+        """Rebuild from raw arrays (store blocks, hand-built test layouts)."""
         return cls(
             dense_words,
             row_map,
@@ -364,21 +366,43 @@ def _decode_rows(words: np.ndarray, items: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
 
 
-# -- host counting (shared by vectorized + parallel engines) -----------------
+# -- host counting: resolve ids to tables, count on the core ------------------
+
+
+def hybrid_tables(
+    layout: HybridLayout, candidates: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Resolve ``(n, k)`` item-id candidates to the tables they count over.
+
+    Returns ``(selector, table, rows)`` groups that together cover the
+    batch: ``candidates[selector]`` count as
+    ``support_words(table, rows)``. Candidates whose members are all
+    dense index the dense block itself through ``row_map``. Candidates
+    with any sparse member index one table from :func:`densify_rows`
+    that holds only the distinct items those candidates reference, so
+    it is at most ``distinct items × n_words × 4`` bytes. Empty groups
+    are left out. No counting happens here, so a caller decides where
+    each group's AND/popcount runs.
+    """
+    rows = layout.row_map[candidates]
+    mixed = (rows < 0).any(axis=1)
+    groups = []
+    if not mixed.all():
+        groups.append((~mixed, layout.dense_words, rows[~mixed]))
+    if mixed.any():
+        items, ids = np.unique(candidates[mixed], return_inverse=True)
+        groups.append(
+            (mixed, densify_rows(layout, items), ids.reshape(-1, candidates.shape[1]))
+        )
+    return groups
 
 
 def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
     """Support counts for ``(n, k)`` candidate itemsets on the hybrid layout.
 
-    A layout adapter over the one host counting core,
-    :func:`~repro.bitset.ops.support_words`. Candidates whose members
-    are all dense count straight off the dense block through
-    ``row_map``. Candidates with any sparse member count off a
-    transient table from :func:`densify_rows` that holds only the
-    distinct items those candidates reference, so it is at most
-    ``distinct items × n_words × 4`` bytes.
-
-    Returns int64 supports, bit-identical to the all-dense
+    Counts each :func:`hybrid_tables` group on the one host counting
+    core, :func:`~repro.bitset.ops.support_words`. Returns int64
+    supports, bit-identical to the all-dense
     :func:`~repro.bitset.ops.support_many`.
     """
     candidates = np.ascontiguousarray(candidates)
@@ -390,14 +414,9 @@ def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
         candidates.min() < 0 or candidates.max() >= layout.n_items
     ):
         raise BitsetError(f"candidate item id out of range [0, {layout.n_items})")
-    rows = layout.row_map[candidates]
-    mixed = (rows < 0).any(axis=1)
     supports = np.empty(candidates.shape[0], dtype=np.int64)
-    supports[~mixed] = support_words(layout.dense_words, rows[~mixed])
-    items, ids = np.unique(candidates[mixed], return_inverse=True)
-    supports[mixed] = support_words(
-        densify_rows(layout, items), ids.reshape(-1, candidates.shape[1])
-    )
+    for selector, table, rows in hybrid_tables(layout, candidates):
+        supports[selector] = support_words(table, rows)
     return supports
 
 
@@ -406,9 +425,8 @@ def densify_rows(layout: HybridLayout, items: np.ndarray) -> np.ndarray:
 
     Dense items gather their block row; sparse items scatter their
     tid-lists into fresh zeroed rows, all in one ``bitwise_or.at``.
-    Feeds the mixed candidates of :func:`hybrid_supports` and seeds the
-    (always dense) prefix-row cache at the first equivalence-class
-    extend generation.
+    Builds the table the mixed candidates of :func:`hybrid_tables`
+    count over.
     """
     items = np.ascontiguousarray(items)
     out = np.zeros((items.size, layout.n_words), dtype=np.uint32)
@@ -428,29 +446,6 @@ def densify_rows(layout: HybridLayout, items: np.ndarray) -> np.ndarray:
         np.uint32(1) << (tids % WORD_BITS).astype(np.uint32),
     )
     return out
-
-
-def hybrid_extend_rows(
-    layout: HybridLayout,
-    base_rows: Optional[np.ndarray],
-    pairs: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Equivalence-class extend under the hybrid layout.
-
-    ``pairs[:, 0]`` indexes prefix rows when ``base_rows`` is given;
-    when ``base_rows is None`` (the first extend generation) it is a
-    raw *item id*, which may live on either side of the layout — both
-    operands are densified on the fly. ``pairs[:, 1]`` is always an
-    item id. Returns ``(rows, supports)`` with dense output rows, so
-    the prefix cache built from them is ordinary bitset data.
-    """
-    pairs = np.ascontiguousarray(pairs)
-    if base_rows is None:
-        base = densify_rows(layout, pairs[:, 0])
-    else:
-        base = base_rows[pairs[:, 0]]
-    rows = base & densify_rows(layout, pairs[:, 1])
-    return rows, row_supports(rows)
 
 
 def count_cost_stats(

@@ -10,7 +10,7 @@ row-major access.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "support_of_rows",
     "support_many",
     "support_words",
+    "and_rows",
     "row_supports",
     "tile_bounds",
     "TILE_BUDGET_BYTES",
@@ -142,29 +143,49 @@ def row_supports(block: np.ndarray) -> np.ndarray:
     return counts.sum(axis=1, dtype=np.int64)
 
 
-def support_words(words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def and_rows(
+    words: np.ndarray, candidates: np.ndarray, base: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The AND-ed row of each ``(n, k)`` candidate, as an ``(n, width)`` block.
+
+    Column 0 indexes ``base`` when given (an extension's cached prefix
+    rows) and ``words`` otherwise; every later column indexes ``words``.
+    Both tables must share width and dtype.
+    """
+    block = (words if base is None else base)[candidates[:, 0]]
+    for j in range(1, candidates.shape[1]):
+        np.bitwise_and(block, words[candidates[:, j]], out=block)
+    return block
+
+
+def support_words(
+    words: np.ndarray, candidates: np.ndarray, base: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Tile-batched support counting over a raw ``(n_items, n_words)``
     word array (the validated core of :func:`support_many`).
 
-    The one host counting core: the vectorized engine (via
-    :func:`support_many`), the hybrid layout (via
-    :func:`~repro.bitset.hybrid.hybrid_supports`) and the parallel
-    engine's workers, which map the same words from
-    :mod:`multiprocessing.shared_memory`, all run it, so identical
-    inputs give bit-identical supports on every path. A C-contiguous
-    table of even width is read as ``uint64`` words, halving the
-    element count of each AND and popcount.
+    The one host counting core: complete intersection ANDs the ``k``
+    rows of ``words`` each candidate names; an equivalence-class
+    extension passes its cached prefix rows as ``base``, so column 0
+    of each ``(prefix_row, item)`` pair reads ``base`` and column 1
+    reads ``words`` (see :func:`and_rows`). Every engine counts through
+    it: the vectorized engine in process, the hybrid layout over the
+    tables :func:`~repro.bitset.hybrid.hybrid_tables` resolves, and the
+    parallel engine's workers over the same tables mapped from
+    :mod:`multiprocessing.shared_memory`, so identical inputs give
+    bit-identical supports on every path. C-contiguous tables of even
+    width are read as ``uint64`` words, halving the element count of
+    each AND and popcount.
     """
-    n, k = candidates.shape
+    n = candidates.shape[0]
     out = np.empty(n, dtype=np.int64)
     row_bytes = words.shape[1] * words.dtype.itemsize
-    if words.shape[1] % 2 == 0 and words.flags.c_contiguous:
+    tables = (words,) if base is None else (words, base)
+    if words.shape[1] % 2 == 0 and all(t.flags.c_contiguous for t in tables):
         words = words.view(np.uint64)
+        base = None if base is None else base.view(np.uint64)
     for start, stop in tile_bounds(n, row_bytes, COUNT_BLOCK_BYTES):
-        block = words[candidates[start:stop, 0]]
-        for j in range(1, k):
-            np.bitwise_and(block, words[candidates[start:stop, j]], out=block)
-        out[start:stop] = row_supports(block)
+        out[start:stop] = row_supports(and_rows(words, candidates[start:stop], base))
     return out
 
 

@@ -2,21 +2,26 @@
 
 The paper's thesis is that support counting is data-parallel enough to
 dominate everything else, and GPApriori feeds it to hundreds of GPU
-lanes. This engine applies the same shape to host cores (after
-Zymbler's many-core bitset/popcount result, see PAPERS.md): the
-read-only generation-1 :class:`~repro.bitset.bitset.BitsetMatrix` words
-are placed in :mod:`multiprocessing.shared_memory` once, each
-generation's candidate buffer is sharded into per-worker tiles with the
-same tiling math :func:`~repro.bitset.ops.support_many` uses, and a
-persistent pool of worker processes counts the tiles concurrently —
-shipping only the small candidate id arrays out and the ``int64``
-supports back, never the bitsets.
+lanes. This engine applies the same shape to host cores, after
+Zymbler's many-core FIM (see PAPERS.md): one shared bitset table, with
+workers over candidates.
+
+:class:`ParallelEngine` is the
+:class:`~repro.core.support.VectorizedEngine` with one hook replaced,
+``_count(words, rows, base)``: it places ``words`` (and an extension's
+prefix ``base``) in :mod:`multiprocessing.shared_memory`, cuts ``rows``
+into per-worker :func:`~repro.bitset.ops.tile_bounds` tiles, and has a
+persistent pool run :func:`~repro.bitset.ops.support_words` on each,
+shipping only id arrays out and ``int64`` supports back. The table
+installed at ``setup`` is published once; any other table (the hybrid
+layout's densified rows, built once per batch in the parent, and the
+prefix rows) is published for one call and destroyed after it.
 
 Guarantees, asserted by the test suite:
 
 * **bit-identical supports** to :class:`~repro.core.support.VectorizedEngine`
   (workers run :func:`~repro.bitset.ops.support_words` on the very same
-  word array, merely mapped instead of copied);
+  tables, merely mapped instead of copied);
 * **identical modeled costs** — the cost model prices operation counts,
   not host execution strategy;
 * **graceful fallback** — when worker processes are unavailable (no
@@ -36,14 +41,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import HybridLayout, hybrid_extend_rows, hybrid_supports
-from ..bitset.ops import row_supports, support_words, tile_bounds
+from ..bitset.ops import support_words, tile_bounds
 from ..errors import BitsetError, MiningError
 from ..faults.degrade import record_degradation
 from ..faults.injection import fault_point
 from ..gpusim.device import TESLA_T10, DeviceProperties
-from ..obs import span
-from .support import SupportEngine, _check_retain_indices
+from ..obs import current_span
+from .support import VectorizedEngine
 
 __all__ = ["ParallelEngine", "resolve_workers"]
 
@@ -71,8 +75,9 @@ one lock around both the fork and every tracker-touching call closes
 the window; worker processes never touch this lock."""
 
 # A shared-memory reference: (kind, segment name, shape, dtype string).
-# ``kind`` keys the worker-side attachment cache, so a refreshed prefix
-# segment evicts its predecessor instead of accumulating mappings.
+# ``kind`` keys the worker-side attachment cache, so a per-call table
+# evicts its predecessor of the same kind instead of accumulating
+# mappings, while the installed table stays mapped.
 _ShmRef = Tuple[str, str, Tuple[int, ...], str]
 
 
@@ -117,75 +122,13 @@ def _attach(ref: _ShmRef) -> np.ndarray:
     return arr
 
 
-def _complete_tile(matrix_ref: _ShmRef, candidates: np.ndarray) -> np.ndarray:
-    """Count one tile of complete-intersection candidates."""
-    return support_words(_attach(matrix_ref), candidates)
-
-
-def _extend_tile(
-    matrix_ref: _ShmRef,
-    prefix_ref: Optional[_ShmRef],
-    pairs: np.ndarray,
+def _count_tile(
+    tables: Tuple[_ShmRef, Optional[_ShmRef]], rows: np.ndarray
 ) -> np.ndarray:
-    """Count one tile of (prefix_row, item) extension pairs."""
-    words = _attach(matrix_ref)
-    base = _attach(prefix_ref) if prefix_ref is not None else words
-    rows = base[pairs[:, 0]] & words[pairs[:, 1]]
-    return row_supports(rows)
-
-
-def _attach_or_empty(
-    ref: Optional[_ShmRef], shape: Tuple[int, ...], dtype
-) -> np.ndarray:
-    """Attach a segment, or rebuild the zero-byte array it stands for.
-
-    ``_publish`` returns None for empty arrays (shared memory cannot
-    hold zero bytes), so degenerate hybrid pieces — an all-sparse
-    layout's dense block, an all-dense layout's tid store — are
-    reconstructed from their shape instead.
-    """
-    if ref is None:
-        return np.zeros(shape, dtype=dtype)
-    return _attach(ref)
-
-
-# A hybrid layout shipped by reference: the four array refs plus the
-# scalar geometry workers need to rebuild empty pieces.
-_HybridRefs = Tuple[
-    Optional[_ShmRef],  # dense words
-    Optional[_ShmRef],  # row map
-    Optional[_ShmRef],  # sparse tids
-    Optional[_ShmRef],  # sparse offsets
-    Tuple[int, int, int, int, int],  # n_dense, n_words, n_items, n_tids, n_tx
-]
-
-
-def _hybrid_from_refs(refs: _HybridRefs) -> HybridLayout:
-    dense_ref, map_ref, tids_ref, offs_ref, meta = refs
-    n_dense, n_words, n_items, n_tids, n_tx = meta
-    return HybridLayout.from_parts(
-        _attach_or_empty(dense_ref, (n_dense, n_words), np.uint32),
-        _attach_or_empty(map_ref, (n_items,), np.int32),
-        _attach_or_empty(tids_ref, (n_tids,), np.int32),
-        _attach_or_empty(offs_ref, (1,), np.int64),
-        n_tx,
-    )
-
-
-def _hybrid_complete_tile(refs: _HybridRefs, candidates: np.ndarray) -> np.ndarray:
-    """Count one tile of candidates against the hybrid layout."""
-    return hybrid_supports(_hybrid_from_refs(refs), candidates)
-
-
-def _hybrid_extend_tile(
-    refs: _HybridRefs,
-    prefix_ref: Optional[_ShmRef],
-    pairs: np.ndarray,
-) -> np.ndarray:
-    """Count one tile of extension pairs against the hybrid layout."""
-    base = _attach(prefix_ref) if prefix_ref is not None else None
-    _, supports = hybrid_extend_rows(_hybrid_from_refs(refs), base, pairs)
-    return supports
+    """Count one tile of rows over the attached ``(words, base)`` tables."""
+    words_ref, base_ref = tables
+    base = _attach(base_ref) if base_ref is not None else None
+    return support_words(_attach(words_ref), rows, base)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +139,11 @@ class _Segment:
     """A parent-owned shared-memory segment holding one array."""
 
     def __init__(self, kind: str, array: np.ndarray) -> None:
-        self.kind = kind
         with _FORK_LOCK:
             self.shm = shared_memory.SharedMemory(create=True, size=array.nbytes)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=self.shm.buf)
         view[...] = array
         self.ref: _ShmRef = (kind, self.shm.name, array.shape, array.dtype.str)
-        self.nbytes = array.nbytes
 
     def destroy(self) -> None:
         try:
@@ -213,18 +154,18 @@ class _Segment:
             pass
 
 
-class ParallelEngine(SupportEngine):
-    """Multi-process execution of the vectorized counting arithmetic.
+class ParallelEngine(VectorizedEngine):
+    """The vectorized engine with its counting fanned out over processes.
 
-    The GPU choreography maps one-to-one onto host hardware: the bitset
-    table "upload" becomes one copy into shared memory (workers map it,
-    they never receive it), the per-generation candidate transfer
-    becomes pickled tile arguments, and the kernel grid becomes
-    :func:`~repro.bitset.ops.tile_bounds` shards across the pool. The
-    equivalence-class prefix cache is re-published as a fresh shared
-    segment after each :meth:`retain`, mirroring the device-resident
-    cache the paper's Section IV.2 analysis prices.
+    The GPU choreography maps onto host hardware: the bitset table
+    "upload" is one copy into shared memory at ``setup`` (workers map
+    it, they never receive it), the per-generation candidate transfer
+    is pickled tile arguments, and the kernel grid is the tiles across
+    the pool. The equivalence-class prefix rows, the device-resident
+    cache the paper's Section IV.2 prices, ride along per call.
     """
+
+    name = "parallel"
 
     def __init__(self, config, metrics, device: DeviceProperties = TESLA_T10) -> None:
         super().__init__(config, metrics, device)
@@ -232,14 +173,9 @@ class ParallelEngine(SupportEngine):
         self.min_parallel = MIN_PARALLEL_CANDIDATES
         self.task_timeout = TASK_TIMEOUT_SECONDS
         self._pool = None
-        self._pool_broken = False
-        self._matrix_seg: Optional[_Segment] = None
-        self._hybrid_segs: List[_Segment] = []
-        self._hybrid_refs: Optional[_HybridRefs] = None
-        self._prefix_seg: Optional[_Segment] = None
-        self._prefix_rows: Optional[np.ndarray] = None  # None = gen-1 matrix
-        self._prefix_dirty = False
-        self._pending_pairs: Optional[np.ndarray] = None
+        self._pool_broken = False  # also set by close(): never fork again
+        self._installed: Optional[np.ndarray] = None
+        self._installed_seg: Optional[_Segment] = None
         self.metrics.registry.set_gauge("parallel.workers", self.n_workers)
 
     # -- pool & segment plumbing ------------------------------------------------
@@ -249,44 +185,16 @@ class ParallelEngine(SupportEngine):
         """Whether the engine has (so far) run without a worker pool."""
         return self._pool is None
 
-    def setup(
-        self,
-        matrix: Optional[BitsetMatrix],
-        hybrid: Optional[HybridLayout] = None,
-    ) -> None:
+    def setup(self, matrix: Optional[BitsetMatrix], hybrid=None) -> None:
         super().setup(matrix, hybrid)
-        if hybrid is not None:
-            # The dense block and the tid-list slabs each become their
-            # own segment: workers map the dense tiles shared while the
-            # (small) tid-lists ride along per attachment.
-            pieces = [
-                ("hybrid_dense", hybrid.dense_words),
-                ("hybrid_row_map", hybrid.row_map),
-                ("hybrid_tids", hybrid.sparse_tids),
-                ("hybrid_offsets", hybrid.sparse_offsets),
-            ]
-            refs = []
-            for kind, array in pieces:
-                seg = self._publish(kind, array)
-                if seg is not None:
-                    self._hybrid_segs.append(seg)
-                refs.append(seg.ref if seg is not None else None)
-            meta = (
-                hybrid.n_dense,
-                hybrid.n_words,
-                hybrid.n_items,
-                hybrid.sparse_tids.size,
-                hybrid.n_transactions,
-            )
-            self._hybrid_refs = (*refs, meta)
-            return
-        self._matrix_seg = self._publish("bitset_matrix", matrix.words)
+        self._installed = hybrid.dense_words if hybrid is not None else matrix.words
+        self._installed_seg = self._publish("installed", self._installed)
 
     def _publish(self, kind: str, array: np.ndarray) -> Optional[_Segment]:
         if array.nbytes == 0:
             return None
         seg = _Segment(kind, array)
-        self.metrics.add_counter("parallel.shm_bytes", seg.nbytes)
+        self.metrics.add_counter("parallel.shm_bytes", array.nbytes)
         return seg
 
     def _ensure_pool(self):
@@ -306,14 +214,6 @@ class ParallelEngine(SupportEngine):
             self._record_pool_failure("pool creation failed")
         return self._pool
 
-    def _abandon_pool(self, reason: str = "pool task failed") -> None:
-        """Tear down a misbehaving pool and stop trying."""
-        pool, self._pool = self._pool, None
-        self._record_pool_failure(reason)
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
     def _record_pool_failure(self, reason: str) -> None:
         self._pool_broken = True
         self.metrics.add_counter("parallel.pool_failures", 1)
@@ -326,186 +226,85 @@ class ParallelEngine(SupportEngine):
             workers=self.n_workers,
         )
 
-    def _map_tiles(self, fn, per_tile_args: List[tuple]) -> Optional[List[np.ndarray]]:
-        """Fan tiles out to the pool; None means "run it in-process".
+    def _share(self, kind: str, table, transient: List[_Segment]) -> Optional[_ShmRef]:
+        """The segment reference of ``table``, publishing it if not installed."""
+        if table is None:
+            return None
+        if table is not self._installed:
+            transient.append(self._publish(kind, table))
+            return transient[-1].ref
+        return self._installed_seg.ref
+
+    def _dispatch(self, words, rows, base, bounds) -> Optional[np.ndarray]:
+        """Count ``bounds`` tiles on the pool; None means "run it in-process".
 
         Any infrastructure failure (worker crash, timeout, broken pipe)
         abandons the pool; domain errors from the tile math itself
         (``ReproError`` subclasses) propagate unchanged.
         """
         pool = self._ensure_pool()
-        if pool is None:
+        if pool is None or words.nbytes == 0:  # shared memory holds no empty arrays
             return None
+        transient: List[_Segment] = []
         try:
-            fault_point("parallel.submit", tiles=len(per_tile_args))
-            handles = [pool.apply_async(fn, args) for args in per_tile_args]
-            return [h.get(timeout=self.task_timeout) for h in handles]
+            tables = (self._share("table", words, transient), self._share("base", base, transient))
+            fault_point("parallel.submit", tiles=len(bounds))
+            handles = [
+                pool.apply_async(_count_tile, (tables, rows[start:stop]))
+                for start, stop in bounds
+            ]
+            return np.concatenate([h.get(timeout=self.task_timeout) for h in handles])
         except (BitsetError, MiningError):
             raise
         except Exception as exc:
-            self._abandon_pool(f"{type(exc).__name__}: {exc}")
+            # tear the misbehaving pool down and stop trying
+            self._record_pool_failure(f"{type(exc).__name__}: {exc}")
+            self._pool = None
+            pool.terminate()
+            pool.join()
             return None
+        finally:
+            for seg in transient:
+                seg.destroy()
 
-    def _tiles(self, n: int) -> List[Tuple[int, int]]:
-        row_bytes = self.n_words * 4
-        return tile_bounds(n, row_bytes, min_tiles=self.n_workers)
+    # -- the executor hook ------------------------------------------------------
 
-    def _record_tiles(self, sp, bounds, dispatched: bool) -> None:
-        sizes = [stop - start for start, stop in bounds]
+    def _count(
+        self, words: np.ndarray, rows: np.ndarray, base: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Count on the pool when the batch is large enough, else in process."""
+        n = rows.shape[0]
+        bounds = tile_bounds(n, self.n_words * 4, min_tiles=self.n_workers)
+        supports = self._dispatch(words, rows, base, bounds) if n >= self.min_parallel else None
+        dispatched = supports is not None
+        if supports is None:
+            supports = super()._count(words, rows, base)
         self.metrics.add_counter("parallel.tiles", len(bounds))
+        # one launch may count several tables (a hybrid batch's dense
+        # and mixed groups): its span sums them
+        sp = current_span()
+        seen = getattr(sp, "attrs", {})
+        sizes = seen.get("tile_candidates", []) + [stop - start for start, stop in bounds]
         sp.set(
             workers=self.n_workers,
-            tiles=len(bounds),
+            tiles=seen.get("tiles", 0) + len(bounds),
             tile_candidates=sizes[:16],
-            dispatched=dispatched,
+            dispatched=seen.get("dispatched", False) or dispatched,
         )
-
-    # -- counting ----------------------------------------------------------------
-
-    def count_complete(self, candidates: np.ndarray) -> np.ndarray:
-        candidates = np.ascontiguousarray(candidates, dtype=np.int64)
-        n, k = candidates.shape
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        if candidates.min() < 0 or candidates.max() >= self.n_items:
-            raise BitsetError("candidate contains item id outside the matrix")
-        with span(
-            "kernel_launch", engine="parallel", kind="complete", k=k, candidates=n, **self.span_attrs
-        ) as sp:
-            bounds = self._tiles(n)
-            results = None
-            if n >= self.min_parallel:
-                if self._hybrid is not None and self._hybrid_refs is not None:
-                    results = self._map_tiles(
-                        _hybrid_complete_tile,
-                        [
-                            (self._hybrid_refs, candidates[start:stop])
-                            for start, stop in bounds
-                        ],
-                    )
-                elif self._hybrid is None and self._matrix_seg is not None:
-                    results = self._map_tiles(
-                        _complete_tile,
-                        [
-                            (self._matrix_seg.ref, candidates[start:stop])
-                            for start, stop in bounds
-                        ],
-                    )
-            if results is None:
-                if self._hybrid is not None:
-                    supports = hybrid_supports(self._hybrid, candidates)
-                else:
-                    supports = support_words(self.matrix.words, candidates)
-                self._record_tiles(sp, bounds, dispatched=False)
-            else:
-                supports = np.concatenate(results)
-                self._record_tiles(sp, bounds, dispatched=True)
-            sp.set(**self._charge("complete", candidates))
         return supports
-
-    def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise MiningError("pairs must be (n, 2) of (prefix_row, item_id)")
-        n = pairs.shape[0]
-        if n == 0:
-            self._pending_pairs = pairs
-            return np.zeros(0, dtype=np.int64)
-        gen1 = self._prefix_rows is None
-        n_base = self._prefix_rows.shape[0] if not gen1 else self.n_items
-        if pairs.min() < 0:
-            raise MiningError("extend pair contains a negative index")
-        if pairs[:, 0].max() >= n_base:
-            raise MiningError("extend pair references a prefix row out of range")
-        if pairs[:, 1].max() >= self.n_items:
-            raise BitsetError("candidate contains item id outside the matrix")
-        with span(
-            "kernel_launch", engine="parallel", kind="extend", k=2, candidates=n, **self.span_attrs
-        ) as sp:
-            bounds = self._tiles(n)
-            results = None
-            if n >= self.min_parallel:
-                if self._hybrid is not None and self._hybrid_refs is not None:
-                    prefix_ref = self._publish_prefix()
-                    results = self._map_tiles(
-                        _hybrid_extend_tile,
-                        [
-                            (self._hybrid_refs, prefix_ref, pairs[start:stop])
-                            for start, stop in bounds
-                        ],
-                    )
-                elif self._hybrid is None and self._matrix_seg is not None:
-                    prefix_ref = self._publish_prefix()
-                    results = self._map_tiles(
-                        _extend_tile,
-                        [
-                            (self._matrix_seg.ref, prefix_ref, pairs[start:stop])
-                            for start, stop in bounds
-                        ],
-                    )
-            if results is None:
-                supports = row_supports(self._extend_rows(pairs))
-                self._record_tiles(sp, bounds, dispatched=False)
-            else:
-                supports = np.concatenate(results)
-                self._record_tiles(sp, bounds, dispatched=True)
-            self._pending_pairs = pairs
-            sp.set(**self._charge("extend", pairs, gen1))
-        return supports
-
-    def _extend_rows(self, pairs: np.ndarray) -> np.ndarray:
-        """The AND-ed rows of ``pairs`` against the current prefix cache."""
-        if self._hybrid is not None:
-            return hybrid_extend_rows(self._hybrid, self._prefix_rows, pairs)[0]
-        base = self.matrix.words if self._prefix_rows is None else self._prefix_rows
-        return base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
-
-    def _publish_prefix(self) -> Optional[_ShmRef]:
-        """Current prefix cache as a shared segment (None = gen-1 table).
-
-        Re-published lazily: :meth:`retain` only marks the cache dirty,
-        so generations that stay in-process never pay the copy.
-        """
-        if self._prefix_rows is None:
-            return None
-        if self._prefix_dirty or self._prefix_seg is None:
-            if self._prefix_seg is not None:
-                self._prefix_seg.destroy()
-            self._prefix_seg = self._publish("prefix_rows", self._prefix_rows)
-            self._prefix_dirty = False
-        return self._prefix_seg.ref if self._prefix_seg is not None else None
-
-    def retain(self, indices: np.ndarray) -> None:
-        """Compact survivors into the prefix cache (recomputed, not
-        round-tripped: workers return supports only, so the surviving
-        rows are re-derived host-side from the retained pairs)."""
-        if self._pending_pairs is None:
-            raise MiningError("retain() without a preceding count_extend()")
-        indices = _check_retain_indices(indices, self._pending_pairs.shape[0])
-        self._prefix_rows = self._extend_rows(self._pending_pairs[indices])
-        self._prefix_dirty = True
-        self._pending_pairs = None
-        self.metrics.add_counter(
-            "prefix_rows_resident_bytes", int(self._prefix_rows.nbytes)
-        )
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
         """Shut the pool down and release every shared segment."""
+        self._pool_broken = True
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.terminate()
             pool.join()
-        for seg_attr in ("_matrix_seg", "_prefix_seg"):
-            seg = getattr(self, seg_attr)
-            if seg is not None:
-                seg.destroy()
-                setattr(self, seg_attr, None)
-        for seg in self._hybrid_segs:
-            seg.destroy()
-        self._hybrid_segs = []
-        self._hybrid_refs = None
+        if self._installed_seg is not None:
+            self._installed_seg.destroy()
+        self._installed = self._installed_seg = None
 
     def finalize(self) -> None:
         super().finalize()

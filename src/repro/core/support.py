@@ -1,8 +1,14 @@
 """Support-counting engines: vectorized (NumPy) and simulated (gpusim).
 
-A third engine, :class:`~repro.core.parallel.ParallelEngine`, lives in
-:mod:`repro.core.parallel` and fans the vectorized arithmetic out over
-a pool of worker processes reading the bitsets from shared memory.
+:class:`VectorizedEngine` resolves each batch's ids to ``(table, rows)``
+groups (the hybrid layout through
+:func:`~repro.bitset.hybrid.hybrid_tables`) and counts every group
+through one executor hook, ``_count``, whose body is
+:func:`~repro.bitset.ops.support_words`. The third engine,
+:class:`~repro.core.parallel.ParallelEngine`, is a subclass that only
+overrides that hook to run it on a pool of worker processes reading
+the tables from shared memory. :meth:`SupportEngine._check_batch`
+validates every batch, the same way on every engine, before any work.
 
 All engines expose the same three operations the mining driver needs:
 
@@ -22,7 +28,9 @@ output; the shard stream, fleet clock, CPU/GPU balancer and GPU Eclat
 call it for their own estimates.
 
 The vectorized engine computes the same arithmetic with whole-array
-NumPy ops and is the production path. The simulated engine executes
+NumPy ops and is the production path. Its extend step keeps only the
+groups it counted, and :meth:`VectorizedEngine.retain` ANDs the rows of
+the survivors alone. The simulated engine executes
 the genuine kernels thread-by-thread on :mod:`repro.gpusim` — slow, but
 it is the ground truth for kernel correctness and the source of access
 traces. Both produce *identical supports and identical modeled costs*
@@ -31,19 +39,14 @@ for the same run, which the test suite asserts.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import (
-    HybridLayout,
-    count_cost_stats,
-    hybrid_extend_rows,
-    hybrid_supports,
-)
-from ..bitset.ops import row_supports, support_many
-from ..errors import ConfigError, DeviceMemoryError, MiningError
+from ..bitset.hybrid import HybridLayout, count_cost_stats, hybrid_tables
+from ..bitset.ops import and_rows, support_words
+from ..errors import BitsetError, ConfigError, DeviceMemoryError, MiningError
 from ..gpusim.coalescing import analyze_trace
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..gpusim.kernel import LaunchConfig, launch_kernel
@@ -239,6 +242,33 @@ class SupportEngine:
         """Publish accumulated kernel stats into the metric registry."""
         self.kernel_stats.publish(self.metrics.registry)
 
+    def _check_batch(
+        self, kind: str, batch: np.ndarray, n_base: Optional[int] = None
+    ) -> np.ndarray:
+        """Validate a counting batch before any work; return it as int64.
+
+        ``"complete"`` takes ``(n, k)`` item ids with ``k >= 1``;
+        ``"extend"`` takes ``(n, 2)`` ``(base, item)`` pairs whose base
+        indexes ``n_base`` cached prefix rows, or the items themselves
+        while ``n_base`` is None. Shape and base errors raise
+        :class:`MiningError`; ``k`` and item-id errors raise
+        :class:`~repro.errors.BitsetError`, identically on every engine.
+        """
+        batch = items = np.ascontiguousarray(batch, dtype=np.int64)
+        if kind == "extend":
+            if batch.ndim != 2 or batch.shape[1] != 2:
+                raise MiningError("pairs must be (n, 2) of (prefix_row, item_id)")
+            base, items = batch[:, 0], batch[:, 1]
+            if base.size:
+                n_base = self.n_items if n_base is None else n_base
+                if base.min() < 0 or base.max() >= n_base:
+                    raise MiningError(f"extend pair references a prefix row outside [0, {n_base})")
+        elif batch.ndim != 2 or batch.shape[1] == 0:
+            raise BitsetError(f"candidates must be (n, k >= 1), got shape {batch.shape}")
+        if items.size and (items.min() < 0 or items.max() >= self.n_items):
+            raise BitsetError("candidate contains item id outside the matrix")
+        return batch
+
     def _charge(self, kind: str, batch: np.ndarray, gen1_base: bool = False) -> dict:
         """Record one counting batch's :func:`price_batch` in the metrics.
 
@@ -286,59 +316,96 @@ class SupportEngine:
 
 
 class VectorizedEngine(SupportEngine):
-    """NumPy whole-array execution of the kernels' arithmetic."""
+    """NumPy whole-array execution of the kernels' arithmetic.
+
+    Every count resolves the batch's ids to ``(table, rows)`` groups
+    and hands each group to :meth:`_count`, the one executor hook. In
+    process it is :func:`~repro.bitset.ops.support_words`; the parallel
+    engine overrides it to run the same call on a worker pool.
+    """
+
+    name = "vectorized"
 
     def __init__(self, config, metrics, device=TESLA_T10) -> None:
         super().__init__(config, metrics, device)
-        self._prefix_rows: Optional[np.ndarray] = None  # None = use gen-1 matrix
-        self._pending_rows: Optional[np.ndarray] = None
+        self._prefix_rows: Optional[np.ndarray] = None  # None = use gen-1 table
+        # count_extend's batch size and the groups it counted
+        self._pending: Optional[Tuple[int, list]] = None
+
+    def _count(
+        self, words: np.ndarray, rows: np.ndarray, base: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Supports of ``rows`` over ``words`` (column 0 over ``base``)."""
+        return support_words(words, rows, base)
+
+    def _groups(self, batch: np.ndarray, base: Optional[np.ndarray]) -> list:
+        """``(selector, table, rows)`` groups covering a validated batch.
+
+        All-dense tables need no resolving. Under the hybrid layout the
+        item columns resolve through :func:`hybrid_tables`; an extend
+        batch's column 0 indexes ``base`` and passes through unchanged.
+        """
+        if self._hybrid is None:
+            return [(np.ones(batch.shape[0], dtype=bool), self.matrix.words, batch)]
+        if base is None:
+            return hybrid_tables(self._hybrid, batch)
+        return [
+            (sel, table, np.column_stack((batch[sel, 0], rows)))
+            for sel, table, rows in hybrid_tables(self._hybrid, batch[:, 1:])
+        ]
+
+    def _launch(
+        self, kind: str, batch: np.ndarray, base: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, list]:
+        """Count one non-empty batch inside its ``kernel_launch`` span.
+
+        Returns the supports and the groups they were counted from.
+        """
+        n, k = batch.shape
+        with span(
+            "kernel_launch", engine=self.name, kind=kind, k=k, candidates=n, **self.span_attrs
+        ) as sp:
+            supports = np.empty(n, dtype=np.int64)
+            groups = self._groups(batch, base)
+            for sel, table, rows in groups:
+                supports[sel] = self._count(table, rows, base)
+            sp.set(**self._charge(kind, batch, base is None))
+        return supports, groups
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
-        candidates = np.asarray(candidates, dtype=np.int64)
-        n, k = candidates.shape
-        if n == 0:
+        candidates = self._check_batch("complete", candidates)
+        if candidates.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        with span(
-            "kernel_launch", engine="vectorized", kind="complete", k=k, candidates=n, **self.span_attrs
-        ) as sp:
-            if self._hybrid is not None:
-                supports = hybrid_supports(self._hybrid, candidates)
-            else:
-                supports = support_many(self.matrix, candidates)
-            sp.set(**self._charge("complete", candidates))
-        return supports
+        return self._launch("complete", candidates)[0]
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise MiningError("pairs must be (n, 2) of (prefix_row, item_id)")
-        n = pairs.shape[0]
-        if n == 0:
-            self._pending_rows = np.empty((0, self.n_words), dtype=np.uint32)
-            return np.zeros(0, dtype=np.int64)
-        with span(
-            "kernel_launch", engine="vectorized", kind="extend", k=2, candidates=n, **self.span_attrs
-        ) as sp:
-            gen1 = self._prefix_rows is None
-            if self._hybrid is not None:
-                rows, supports = hybrid_extend_rows(
-                    self._hybrid, self._prefix_rows, pairs
-                )
-            else:
-                base = self.matrix.words if gen1 else self._prefix_rows
-                rows = base[pairs[:, 0]] & self.matrix.words[pairs[:, 1]]
-                supports = row_supports(rows)
-            self._pending_rows = rows
-            sp.set(**self._charge("extend", pairs, gen1))
+        """Count ``(prefix_row, item)`` pairs; :meth:`retain` builds rows.
+
+        Only the resolved groups stay pending, not the ``(n, n_words)``
+        result rows: :meth:`retain` ANDs the rows of the survivors alone.
+        """
+        base = self._prefix_rows
+        pairs = self._check_batch("extend", pairs, None if base is None else base.shape[0])
+        supports, groups = np.zeros(0, dtype=np.int64), []
+        if pairs.shape[0]:
+            supports, groups = self._launch("extend", pairs, base)
+        self._pending = (pairs.shape[0], groups)
         return supports
 
     def retain(self, indices: np.ndarray) -> None:
         """Keep only the surviving candidates' rows as the prefix cache."""
-        if self._pending_rows is None:
+        if self._pending is None:
             raise MiningError("retain() without a preceding count_extend()")
-        indices = _check_retain_indices(indices, self._pending_rows.shape[0])
-        self._prefix_rows = self._pending_rows[indices]
-        self._pending_rows = None
+        n, groups = self._pending
+        indices = _check_retain_indices(indices, n)
+        base = self._prefix_rows
+        rows = np.empty((indices.size, self.n_words), dtype=np.uint32)
+        for sel, table, ids in groups:
+            keep = sel[indices]
+            # a survivor's row within its group: the selected rows before it
+            rows[keep] = and_rows(table, ids[np.cumsum(sel)[indices[keep]] - 1], base)
+        self._prefix_rows = rows
+        self._pending = None
         self.metrics.add_counter(
             "prefix_rows_resident_bytes", int(self._prefix_rows.nbytes)
         )
@@ -439,7 +506,7 @@ class SimulatedEngine(SupportEngine):
         return int(min(n, fit))
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
-        candidates = np.ascontiguousarray(candidates, dtype=np.int32)
+        candidates = self._check_batch("complete", candidates).astype(np.int32)
         n, k = candidates.shape
         if n == 0:
             return np.zeros(0, dtype=np.int64)
@@ -508,7 +575,8 @@ class SimulatedEngine(SupportEngine):
         return out
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        pairs = np.ascontiguousarray(pairs, dtype=np.int32)
+        n_base = None if self._prefix_buf is None else self._prefix_buf.shape[0]
+        pairs = self._check_batch("extend", pairs, n_base).astype(np.int32)
         n = pairs.shape[0]
         n_words = self.n_words
         if n == 0:

@@ -58,6 +58,7 @@ from .tracer import (
     Span,
     Tracer,
     current_tracer,
+    current_span,
     mining_run,
     span,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "NOOP_SPAN",
     "Tracer",
     "current_tracer",
+    "current_span",
     "span",
     "mining_run",
     "MetricsRegistry",

@@ -34,6 +34,7 @@ __all__ = [
     "NOOP_SPAN",
     "Tracer",
     "current_tracer",
+    "current_span",
     "span",
     "mining_run",
 ]
@@ -261,6 +262,16 @@ class Tracer:
 def current_tracer() -> Optional[Tracer]:
     """The tracer activated in this context, or None."""
     return _ACTIVE.get()
+
+
+def current_span() -> "Span | NoopSpan":
+    """The innermost span open in this context, or :data:`NOOP_SPAN`.
+
+    Lets a callee annotate the span its caller opened without having
+    the span passed down.
+    """
+    current = _CURRENT.get()
+    return NOOP_SPAN if current is None else current
 
 
 def span(name: str, **attrs: Any) -> "Span | NoopSpan":

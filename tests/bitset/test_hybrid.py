@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.bitset import BitsetMatrix, support_many
+from repro.bitset.ops import and_rows
 from repro.bitset.hybrid import (
     HybridLayout,
     auto_dense_threshold,
     choose_layout,
     count_cost_stats,
     densify_rows,
-    hybrid_extend_rows,
     hybrid_supports,
+    hybrid_tables,
 )
 from repro.core.sharding import ShardPlan
 from repro.datasets import TransactionDatabase
@@ -161,15 +162,20 @@ class TestCounting:
             densify_rows(layout, items), matrix.words
         )
 
-    def test_hybrid_extend_rows_gen1(self, matrix):
+    def test_hybrid_tables_rebuild_the_anded_rows(self, matrix):
         layout = HybridLayout.from_matrix(matrix, 0.5)
         pairs = np.array([[0, 1], [1, 2], [4, 5]], dtype=np.int32)
-        rows, supports = hybrid_extend_rows(layout, None, pairs)
+        rows = np.zeros((pairs.shape[0], matrix.n_words), dtype=np.uint32)
+        covered = np.zeros(pairs.shape[0], dtype=int)
+        for sel, table, ids in hybrid_tables(layout, pairs):
+            rows[sel] = and_rows(table, ids)
+            covered[sel] += 1
+        assert covered.tolist() == [1, 1, 1]
         np.testing.assert_array_equal(
             rows, matrix.words[pairs[:, 0]] & matrix.words[pairs[:, 1]]
         )
         np.testing.assert_array_equal(
-            supports, support_many(matrix, pairs)
+            hybrid_supports(layout, pairs), support_many(matrix, pairs)
         )
 
     def test_count_cost_stats_sums_both_sides(self, matrix):

@@ -1,19 +1,27 @@
 """Unit tests for the parallel shared-memory counting engine."""
 
+import ast
+import multiprocessing
+import os
 import time
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.core.parallel as par_mod
 from repro.bitset import BitsetMatrix
+from repro.bitset.hybrid import HybridLayout
 from repro.cli import main as cli_main
 from repro.core.config import GPAprioriConfig
 from repro.core.gpapriori import gpapriori_mine
 from repro.core.itemset import RunMetrics
 from repro.core.parallel import MAX_AUTO_WORKERS, ParallelEngine, resolve_workers
 from repro.core.support import VectorizedEngine, make_engine
+from repro.datasets import TransactionDatabase
 from repro.errors import BitsetError, ConfigError, MiningError
+from tests.property.test_prop_counting_oracle import oracle_support
 
 
 def make_pair(db, workers=2, force_pool=False, **cfg_over):
@@ -37,6 +45,62 @@ def pool_pair(small_db):
 
 
 ALL_PAIRS = np.array([[i, j] for i in range(12) for j in range(i + 1, 12)])
+
+
+@pytest.fixture
+def skewed_db():
+    """Items 0-3 dense (~60%), items 4-15 sparse (~4%), over 1000 rows."""
+    rng = np.random.default_rng(7)
+    density = np.array([0.6] * 4 + [0.04] * 12)
+    return TransactionDatabase.from_dense(rng.random((1000, 16)) < density)
+
+
+def hybrid_engine(db):
+    """A pool-forced parallel engine over the hybrid layout of ``db``."""
+    layout = HybridLayout.from_database(db, 0.2)
+    assert 0 < layout.n_dense < layout.n_items
+    eng = ParallelEngine(GPAprioriConfig(engine="parallel", workers=2), RunMetrics())
+    eng.min_parallel = 1
+    eng.setup(None, hybrid=layout)
+    return eng
+
+
+class TestOneEngine:
+    """ParallelEngine decides only *where* counting runs (AST-checked)."""
+
+    TREE = ast.parse(Path(par_mod.__file__).read_text())
+
+    def test_is_the_vectorized_engine(self):
+        assert issubclass(ParallelEngine, VectorizedEngine)
+        cls = next(
+            n for n in self.TREE.body
+            if isinstance(n, ast.ClassDef) and n.name == "ParallelEngine"
+        )
+        defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        assert defined.isdisjoint(
+            {"count_complete", "count_extend", "retain", "_extend_rows", "_publish_prefix"}
+        )
+
+    def test_no_hybrid_layout_import(self):
+        modules = [
+            ("." * n.level) + (n.module or "")
+            for n in ast.walk(self.TREE)
+            if isinstance(n, ast.ImportFrom)
+        ] + [a.name for n in ast.walk(self.TREE) if isinstance(n, ast.Import) for a in n.names]
+        assert [m for m in modules if m.endswith("hybrid")] == []
+
+    def test_one_worker_function(self):
+        """Only ``_count_tile`` counts, and only on the shared core."""
+        counters = [
+            fn.name
+            for fn in self.TREE.body
+            if isinstance(fn, ast.FunctionDef)
+            and any(
+                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "support_words"
+                for c in ast.walk(fn)
+            )
+        ]
+        assert counters == ["_count_tile"]
 
 
 class TestResolveWorkers:
@@ -109,6 +173,67 @@ class TestDispatch:
         eng.retain(np.empty(0, dtype=np.int64))
 
 
+class TestHybridPool:
+    """The pool path over the hybrid layout, checked against plain sets."""
+
+    @pytest.fixture
+    def setup(self, skewed_db):
+        eng = hybrid_engine(skewed_db)
+        yield eng, [set(t.tolist()) for t in skewed_db]
+        eng.close()
+
+    @staticmethod
+    def assert_pooled(eng):
+        counters = eng.metrics.counters
+        assert counters["parallel.tiles"] > 0
+        assert counters.get("parallel.pool_failures", 0) == 0
+        assert not eng.in_process
+
+    def test_complete_plan(self, setup):
+        eng, transactions = setup
+        for k in (1, 2, 3):
+            # all-dense, mixed and all-sparse candidates in one batch
+            cands = np.array(
+                [[(i + j * 5) % 16 for j in range(k)] for i in range(16)]
+            )
+            want = [oracle_support(transactions, c) for c in cands.tolist()]
+            assert eng.count_complete(cands).tolist() == want
+        self.assert_pooled(eng)
+
+    def test_equivalence_plan(self, setup):
+        eng, transactions = setup
+        # generation 2: both columns are raw item ids, dense or sparse
+        gen2 = np.array([[i, j] for i in range(16) for j in range(i + 1, 16)])
+        want = [oracle_support(transactions, p) for p in gen2.tolist()]
+        assert eng.count_extend(gen2).tolist() == want
+        keep = np.arange(0, gen2.shape[0], 3)
+        eng.retain(keep)
+        # generation 3: column 0 now indexes the cached prefix rows
+        gen3 = np.array([[r, (r * 7) % 16] for r in range(keep.size)])
+        itemsets = [
+            gen2[keep[r]].tolist() + [item] for r, item in gen3.tolist()
+        ]
+        want = [oracle_support(transactions, c) for c in itemsets]
+        assert eng.count_extend(gen3).tolist() == want
+        self.assert_pooled(eng)
+
+    @pytest.mark.parametrize("plan", ["complete", "equivalence"])
+    def test_mining_matches_oracle(self, skewed_db, plan, monkeypatch):
+        monkeypatch.setattr(par_mod, "MIN_PARALLEL_CANDIDATES", 1)
+        cfg = GPAprioriConfig(
+            engine="parallel", workers=2, plan=plan, layout="hybrid", dense_threshold=0.2
+        )
+        got = gpapriori_mine(skewed_db, 20, config=cfg)
+        transactions = [set(t.tolist()) for t in skewed_db]
+        assert len(got) > 16  # itemsets beyond the single items
+        for itemset in got:
+            assert itemset.support == oracle_support(transactions, itemset.items)
+        ref = gpapriori_mine(skewed_db, 20, config=cfg.with_(engine="vectorized"))
+        assert got.as_dict() == ref.as_dict()
+        assert got.metrics.counters["parallel.tiles"] > 0
+        assert got.metrics.counters.get("parallel.pool_failures", 0) == 0
+
+
 class TestValidation:
     def test_count_before_setup(self):
         eng = ParallelEngine(GPAprioriConfig(engine="parallel"), RunMetrics())
@@ -170,11 +295,11 @@ class TestFallback:
         """A wedged pool fails fast into in-process execution instead of
         hanging the run (the CI deadlock-protection contract)."""
 
-        def stuck_tile(matrix_ref, candidates):  # pragma: no cover - worker side
+        def stuck_tile(tables, rows):  # pragma: no cover - worker side
             time.sleep(60)
 
         # patched before the pool forks, so workers inherit the stub
-        monkeypatch.setattr(par_mod, "_complete_tile", stuck_tile)
+        monkeypatch.setattr(par_mod, "_count_tile", stuck_tile)
         vec, eng = make_pair(small_db, workers=2, force_pool=True)
         eng.task_timeout = 0.25
         try:
@@ -197,15 +322,32 @@ class TestFallback:
 
 
 class TestLifecycle:
-    def test_finalize_releases_pool_and_segments(self, small_db):
-        _, eng = make_pair(small_db, workers=2, force_pool=True)
-        eng.count_complete(ALL_PAIRS)
-        eng.count_extend(ALL_PAIRS)
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm")
+    def test_finalize_releases_pool_and_segments(self, skewed_db, monkeypatch):
+        """Seen from outside: after finalize() no segment the engine
+        created is left in /dev/shm and no worker process is alive. The
+        hybrid run publishes the installed dense block, a per-call table
+        of densified rows for the mixed candidates and the prefix rows."""
+        created = []
+
+        class Recording(shared_memory.SharedMemory):
+            def __init__(self, name=None, create=False, size=0):
+                super().__init__(name=name, create=create, size=size)
+                if create:
+                    created.append(self.name)
+
+        monkeypatch.setattr(par_mod.shared_memory, "SharedMemory", Recording)
+        eng = hybrid_engine(skewed_db)
+        mixed = np.array([[i, j] for i in range(4) for j in range(4, 8)])
+        eng.count_complete(mixed)
+        eng.count_extend(mixed)
         eng.retain(np.arange(8))
-        eng.count_extend(np.array([[i, 11] for i in range(8)]))
+        eng.count_extend(np.array([[i, 8 + i] for i in range(8)]))
+        assert not eng.in_process
+        assert len(created) == 5  # installed + 3 mixed-item tables + prefix rows
         eng.finalize()
-        assert eng._pool is None
-        assert eng._matrix_seg is None and eng._prefix_seg is None
+        assert [n for n in created if os.path.exists(f"/dev/shm/{n}")] == []
+        assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self, small_db):
         _, eng = make_pair(small_db, workers=2, force_pool=True)

@@ -8,7 +8,8 @@ from repro.bitset import BitsetMatrix
 from repro.core.config import GPAprioriConfig
 from repro.core.itemset import RunMetrics
 from repro.core.support import SimulatedEngine, VectorizedEngine, make_engine
-from repro.errors import DeviceMemoryError, KernelLaunchError, MiningError
+from repro.datasets import TransactionDatabase
+from repro.errors import BitsetError, DeviceMemoryError, KernelLaunchError, MiningError
 from repro.gpusim.device import DeviceProperties
 
 
@@ -371,3 +372,37 @@ class TestRetainValidation:
         eng.count_extend(np.array([[3, 4], [4, 5]]))
         with pytest.raises(MiningError, match="1-D"):
             eng.retain(np.array([[0], [1]]))
+
+
+class TestBatchValidation:
+    """Every base engine rejects a malformed batch with the same typed
+    error before doing any work."""
+
+    BAD_BATCHES = [
+        ("count_extend", [[-1, 2]], MiningError),  # negative prefix row
+        ("count_extend", [[9, 2]], MiningError),  # prefix row past the table
+        ("count_extend", [[1, 9]], BitsetError),  # item id past the table
+        ("count_extend", [[1, -1]], BitsetError),  # negative item id
+        ("count_extend", [[1, 2, 3]], MiningError),  # not (n, 2)
+        ("count_extend", [1, 2], MiningError),  # not 2-D
+        ("count_complete", np.zeros((3, 0), dtype=np.int64), BitsetError),
+        ("count_complete", [[0, 9]], BitsetError),
+        ("count_complete", [[-1, 0]], BitsetError),
+        ("count_complete", [0, 1], BitsetError),  # not 2-D
+    ]
+
+    @pytest.mark.parametrize("engine_name", ["vectorized", "parallel", "simulated"])
+    @pytest.mark.parametrize("method, batch, error", BAD_BATCHES)
+    def test_bad_batch_raises_typed_error(self, engine_name, method, batch, error):
+        db = TransactionDatabase([[0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 3]])
+        metrics = RunMetrics()
+        eng = make_engine(
+            GPAprioriConfig(engine=engine_name, workers=2, block_size=8), metrics
+        )
+        eng.setup(BitsetMatrix.from_database(db))
+        try:
+            with pytest.raises(error):
+                getattr(eng, method)(np.asarray(batch))
+            assert metrics.counters.get("candidates_counted", 0) == 0
+        finally:
+            getattr(eng, "close", lambda: None)()
