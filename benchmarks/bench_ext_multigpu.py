@@ -10,10 +10,12 @@ the per-device launch + PCIe floor is amortized — and reports the
 streaming tid-range shards) must stay bit-identical.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from repro import GPAprioriConfig, mine, multigpu_mine, scaling_efficiency
+from repro import GPAprioriConfig, MiningResult, mine
 from repro.bench import render_table
 from repro.datasets import TransactionDatabase
 
@@ -35,6 +37,42 @@ def _launch_bound_db(n_items=600, n_tx=96, density=0.5, seed=42):
     return TransactionDatabase(rows, n_items=n_items)
 
 
+@dataclass(frozen=True)
+class FleetRun:
+    """One fleet mine and its two modeled clocks."""
+
+    n_devices: int
+    result: MiningResult
+    makespan_seconds: float
+    single_device_seconds: float
+
+    @property
+    def speedup(self) -> float:
+        return self.single_device_seconds / self.makespan_seconds
+
+    @property
+    def efficiency(self) -> float:
+        return self.speedup / self.n_devices
+
+
+def fleet_run(db, n_devices, config=GPAprioriConfig(aligned=False)):
+    """Mine on ``n_devices`` modeled T10s and read the fleet clocks."""
+    result = mine(
+        db,
+        SUPPORT,
+        config=config.with_(engine="multigpu", devices=n_devices),
+        max_k=MAX_K,
+    )
+    return FleetRun(
+        n_devices=n_devices,
+        result=result,
+        makespan_seconds=result.metrics.modeled_breakdown["fleet_makespan"],
+        single_device_seconds=result.metrics.registry.gauges[
+            "fleet.single_device_seconds"
+        ],
+    )
+
+
 @pytest.fixture(scope="module")
 def db():
     return _launch_bound_db()
@@ -42,13 +80,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def sweep(db):
-    return scaling_efficiency(
-        db,
-        SUPPORT,
-        device_counts=DEVICES,
-        config=GPAprioriConfig(aligned=False),
-        max_k=MAX_K,
-    )
+    return [fleet_run(db, n) for n in DEVICES]
 
 
 def test_scaling_table(sweep):
@@ -95,14 +127,8 @@ def test_sharded_fleet_stays_exact(capsys):
     db = _launch_bound_db(n_items=160, n_tx=96, seed=7)
     ref = mine(db, SUPPORT, max_k=MAX_K)
     budget = 3 * db.n_items * 4  # 1-word slab fit -> forced sharding
-    r = multigpu_mine(
-        db,
-        SUPPORT,
-        n_devices=4,
-        config=GPAprioriConfig(
-            aligned=False, memory_budget_bytes=budget, engine="multigpu", devices=4
-        ),
-        max_k=MAX_K,
+    r = fleet_run(
+        db, 4, config=GPAprioriConfig(aligned=False, memory_budget_bytes=budget)
     )
     assert r.result.same_itemsets(ref)
     assert r.makespan_seconds > 0.0
@@ -116,5 +142,5 @@ def test_sharded_fleet_stays_exact(capsys):
 def test_bench_four_gpus(bench_one):
     # timing round only; the scaling sweep above owns the big workload
     db = _launch_bound_db(n_items=160, n_tx=96, seed=7)
-    r = bench_one(multigpu_mine, db, SUPPORT, n_devices=4, max_k=MAX_K)
-    assert len(r.result) > 0
+    r = bench_one(mine, db, SUPPORT, engine="multigpu", devices=4, max_k=MAX_K)
+    assert len(r) > 0

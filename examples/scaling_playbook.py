@@ -7,7 +7,7 @@ all implemented in this reproduction:
 1. **Hybrid CPU+GPU** — split every generation between the host CPU
    and the GPU so both finish together (`repro.core.balance`).
 2. **Multi-GPU** — partition candidate buffers over the S1070's four
-   T10s (`repro.core.multigpu`).
+   T10s (`mine(..., engine="multigpu", devices=n)`, `repro.core.fleet`).
 3. **GPU Eclat** — depth-first equivalence-class mining, each class one
    extend-kernel batch (`repro.core.gpu_eclat`).
 
@@ -19,7 +19,6 @@ from repro import (
     gpu_eclat_mine,
     hybrid_mine,
     mine,
-    scaling_efficiency,
 )
 from repro.datasets import dataset_analog
 
@@ -53,11 +52,14 @@ def main() -> None:
 
     # ---- 2. multi-GPU fleet
     print("\nmulti-GPU scaling (candidate partitioning, modeled):")
-    for r in scaling_efficiency(db, support, device_counts=[1, 2, 4]):
-        assert r.result.same_itemsets(baseline)
+    for n in (1, 2, 4):
+        fleet = mine(db, support, engine="multigpu", devices=n)
+        assert fleet.same_itemsets(baseline)
+        span = fleet.metrics.modeled_breakdown["fleet_makespan"]
+        speedup = fleet.metrics.registry.gauges["fleet.single_device_seconds"] / span
         print(
-            f"  {r.n_devices} x T10: {r.makespan_seconds * 1e3:7.2f} ms  "
-            f"speedup {r.speedup:4.2f}x  efficiency {r.efficiency:.0%}"
+            f"  {n} x T10: {span * 1e3:7.2f} ms  "
+            f"speedup {speedup:4.2f}x  efficiency {speedup / n:.0%}"
         )
 
     # ---- 3. GPU Eclat

@@ -30,7 +30,6 @@ from .core.sharding import ShardPlan, ShardedEngine
 from .core.gpu_eclat import gpu_eclat_mine
 from .core.balance import ModelBalancer, StaticBalancer, hybrid_mine
 from .core.itemset import Itemset, MiningResult, RunMetrics
-from .core.multigpu import MultiGpuResult, multigpu_mine, scaling_efficiency
 from .errors import ReproError
 from .faults import FaultPlan, FaultSpec, parse_fault_spec
 
@@ -49,9 +48,6 @@ __all__ = [
     "hybrid_mine",
     "StaticBalancer",
     "ModelBalancer",
-    "multigpu_mine",
-    "MultiGpuResult",
-    "scaling_efficiency",
     "Itemset",
     "MiningResult",
     "RunMetrics",

@@ -8,21 +8,19 @@ The modules here regenerate the paper's evaluation artifacts:
   minimum support per dataset, for every algorithm;
 * :mod:`~repro.bench.runner` — single-run and support-sweep execution
   with wall-clock and modeled-hardware timing;
-* :mod:`~repro.bench.report` — plain-text rendering used by the
-  ``benchmarks/`` scripts and the CLI.
+* :mod:`~repro.bench.report` and :mod:`~repro.bench.ascii_plot` —
+  plain-text tables and charts used by the ``benchmarks/`` scripts and
+  the CLI;
+* :mod:`~repro.bench.profiler` — the ``repro profile`` report.
 """
 
-from .timing import TimingResult, measure
 from .runner import RunRecord, SweepResult, run_algorithm, support_sweep
 from .figures import FigureSeries, build_figure6, speedup_table
 from .tables import table1_rows, table2_rows
 from .report import render_table, render_figure
-from .export import sweep_to_csv, write_sweep_csv
 from .ascii_plot import ascii_chart, figure6_chart
 
 __all__ = [
-    "TimingResult",
-    "measure",
     "RunRecord",
     "SweepResult",
     "run_algorithm",
@@ -34,8 +32,6 @@ __all__ = [
     "table2_rows",
     "render_table",
     "render_figure",
-    "sweep_to_csv",
-    "write_sweep_csv",
     "ascii_chart",
     "figure6_chart",
 ]

@@ -7,7 +7,8 @@ threads read consecutive, aligned words (coalesced access, Fig. 3b).
 This package implements:
 
 * :class:`~repro.bitset.bitset.BitsetMatrix` — the static bitset table,
-* :mod:`~repro.bitset.ops` — vectorized AND / popcount primitives,
+* :mod:`~repro.bitset.ops` — the one host counting core, batched
+  AND / popcount over whole candidate generations,
 * :class:`~repro.bitset.tidset.TidsetTable` — the classical tidset
   layout used by Borgelt-style CPU Apriori (Fig. 2B / Fig. 3a),
 * :mod:`~repro.bitset.vertical` — conversions between layouts.
@@ -15,11 +16,7 @@ This package implements:
 
 from .bitset import BitsetMatrix, WORD_BITS, ALIGN_BYTES, WORDS_PER_ALIGN
 from .ops import (
-    popcount,
     popcount_words,
-    intersect_rows,
-    intersect_pair,
-    support_of_rows,
     support_many,
     support_words,
     tile_bounds,
@@ -40,11 +37,7 @@ __all__ = [
     "WORD_BITS",
     "ALIGN_BYTES",
     "WORDS_PER_ALIGN",
-    "popcount",
     "popcount_words",
-    "intersect_rows",
-    "intersect_pair",
-    "support_of_rows",
     "support_many",
     "support_words",
     "tile_bounds",

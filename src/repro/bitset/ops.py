@@ -10,7 +10,7 @@ row-major access.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,11 +18,7 @@ from ..errors import BitsetError
 from .bitset import BitsetMatrix
 
 __all__ = [
-    "popcount",
     "popcount_words",
-    "intersect_pair",
-    "intersect_rows",
-    "support_of_rows",
     "support_many",
     "support_words",
     "and_rows",
@@ -62,47 +58,6 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     lo = _POPCOUNT16[words & np.uint32(0xFFFF)]
     hi = _POPCOUNT16[words >> np.uint32(16)]
     return lo + hi
-
-
-def popcount(words: np.ndarray) -> int:
-    """Total number of set bits in a uint32 array."""
-    return int(popcount_words(words).sum(dtype=np.int64))
-
-
-def intersect_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bitwise AND of two equal-length bit rows ("bitset join", Fig. 3b)."""
-    if a.shape != b.shape:
-        raise BitsetError(f"row shapes differ: {a.shape} vs {b.shape}")
-    return np.bitwise_and(a, b)
-
-
-def intersect_rows(matrix: BitsetMatrix, items: Sequence[int]) -> np.ndarray:
-    """k-way AND of the rows for ``items`` (complete intersection).
-
-    This mirrors the paper's Figure 4: the support bit-vector of
-    candidate {i1..ik} is ``V_i1 & V_i2 & ... & V_ik`` computed from the
-    *first-generation* vertical lists only. An empty ``items`` returns
-    the all-ones vector over valid transactions (support = every
-    transaction), the identity of the AND fold.
-    """
-    ids = list(items)
-    if not ids:
-        from .bitset import _tail_mask
-
-        out = np.full(matrix.n_words, 0xFFFFFFFF, dtype=np.uint32)
-        mask = _tail_mask(matrix.n_words, matrix.n_transactions)
-        if mask is not None:
-            out &= mask
-        return out
-    acc = matrix.row(ids[0]).copy()
-    for item in ids[1:]:
-        np.bitwise_and(acc, matrix.row(item), out=acc)
-    return acc
-
-
-def support_of_rows(matrix: BitsetMatrix, items: Sequence[int]) -> int:
-    """Absolute support of a candidate via complete intersection."""
-    return popcount(intersect_rows(matrix, items))
 
 
 def tile_bounds(

@@ -690,7 +690,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             stem, lambda path=path: _read_fimi(path), provenance="file"
         )
     if args.preload:
-        service.preload()
+        try:
+            service.preload()
+        except ReproError:
+            service.close()
+            raise
     # SIGTERM (the normal kill / orchestrator stop) must run the same
     # drain + snapshot-on-close path as Ctrl-C, or warm-start snapshots
     # would only ever exist after interactive shutdowns.

@@ -34,7 +34,6 @@ from .sharding import Shard, ShardPlan, ShardedEngine, slice_matrix
 from .fleet import FleetEngine, FleetPlan
 from .gpapriori import gpapriori_mine
 from .balance import ModelBalancer, StaticBalancer, hybrid_mine
-from .multigpu import MultiGpuResult, multigpu_mine, scaling_efficiency
 from .gpu_eclat import gpu_eclat_mine
 from .api import ALGORITHMS, mine
 
@@ -60,9 +59,6 @@ __all__ = [
     "StaticBalancer",
     "ModelBalancer",
     "hybrid_mine",
-    "MultiGpuResult",
-    "multigpu_mine",
-    "scaling_efficiency",
     "gpu_eclat_mine",
     "ALGORITHMS",
     "mine",

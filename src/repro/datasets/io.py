@@ -15,6 +15,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import zlib
 from typing import List, Union
 
 from ..errors import DatasetError
@@ -61,28 +62,38 @@ def read_fimi(
     Raises
     ------
     DatasetError
-        If a token is not a non-negative decimal integer.
+        If a token is not a non-negative decimal integer, or the input
+        cannot be read (missing path, a directory, non-ASCII bytes, a
+        corrupt ``.gz``); the message names the path.
     """
-    stream, should_close = _open_text(path_or_buffer, "r")
     rows: List[List[int]] = []
     try:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                rows.append([])
-                continue
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise DatasetError(
-                    f"line {lineno}: non-integer token in FIMI file"
-                ) from None
-            if any(v < 0 for v in row):
-                raise DatasetError(f"line {lineno}: negative item id")
-            rows.append(row)
-    finally:
-        if should_close:
-            stream.close()
+        stream, should_close = _open_text(path_or_buffer, "r")
+        try:
+            for lineno, line in enumerate(stream, start=1):
+                line = line.strip()
+                if not line:
+                    rows.append([])
+                    continue
+                try:
+                    row = [int(tok) for tok in line.split()]
+                except ValueError:
+                    raise DatasetError(
+                        f"line {lineno}: non-integer token in FIMI file"
+                    ) from None
+                if any(v < 0 for v in row):
+                    raise DatasetError(f"line {lineno}: negative item id")
+                rows.append(row)
+        finally:
+            if should_close:
+                stream.close()
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        if hasattr(path_or_buffer, "read"):
+            name = getattr(path_or_buffer, "name", "<stream>")
+        else:
+            name = os.fspath(path_or_buffer)
+        reason = getattr(exc, "strerror", None) or exc
+        raise DatasetError(f"cannot read FIMI file {name!r}: {reason}") from exc
     # A trailing newline produces one final empty "transaction" that is not
     # in the file's logical content; drop a single trailing empty row.
     if rows and not rows[-1]:

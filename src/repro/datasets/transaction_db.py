@@ -15,7 +15,7 @@ Python lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -244,50 +244,6 @@ class TransactionDatabase:
         )
 
     # -- transforms -------------------------------------------------------------
-
-    def remap_by_frequency(self) -> Tuple["TransactionDatabase", np.ndarray]:
-        """Relabel items so id 0 is the most frequent item.
-
-        Returns ``(new_db, old_ids)`` where ``old_ids[new_id]`` recovers the
-        original item id. Frequency-ordered ids improve trie locality and
-        are the conventional preprocessing in Borgelt/Bodon implementations.
-        Items with zero support are pushed to the tail and keep a stable
-        (id-ascending) order, as do ties.
-        """
-        supports = self.item_supports()
-        # argsort on (-support, id) for a deterministic order.
-        order = np.lexsort((np.arange(self._n_items), -supports))
-        inverse = np.empty(self._n_items, dtype=np.int32)
-        inverse[order] = np.arange(self._n_items, dtype=np.int32)
-        new_items = inverse[self._items]
-        # re-sort within each transaction under the new labels
-        rows = [np.sort(new_items[self._offsets[i]:self._offsets[i + 1]]) for i in range(len(self))]
-        flat = np.concatenate(rows) if rows and self._items.size else np.empty(0, dtype=np.int32)
-        db = TransactionDatabase.from_arrays(flat.astype(np.int32), self._offsets.copy(), self._n_items)
-        return db, order.astype(np.int32)
-
-    def filter_items(self, keep: Sequence[int]) -> "TransactionDatabase":
-        """Project the database onto a subset of items (ids preserved)."""
-        keep_mask = np.zeros(self._n_items, dtype=bool)
-        keep_arr = np.asarray(list(keep), dtype=np.int64)
-        if keep_arr.size and (keep_arr.min() < 0 or keep_arr.max() >= self._n_items):
-            raise DatasetError("keep contains ids outside the item universe")
-        keep_mask[keep_arr] = True
-        rows = [row[keep_mask[row]] for row in self]
-        return TransactionDatabase(rows, n_items=self._n_items)
-
-    def sample_transactions(self, n: int, seed: int = 0) -> "TransactionDatabase":
-        """Uniform random subsample of ``n`` transactions without replacement."""
-        if n > len(self):
-            raise DatasetError(f"cannot sample {n} from {len(self)} transactions")
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(self), size=n, replace=False))
-        rows = [self[int(i)] for i in idx]
-        return TransactionDatabase(rows, n_items=self._n_items)
-
-    def to_lists(self) -> List[List[int]]:
-        """Materialize as plain Python lists (small databases / tests)."""
-        return [row.tolist() for row in self]
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a boolean ``(n_transactions, n_items)`` matrix.

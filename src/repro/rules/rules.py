@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from ..errors import MiningError
 from .._validation import check_fraction
 from ..core.itemset import MiningResult
-from ..trie.generation import join_frequent
+from ..trie.level import join_frequent
 
 __all__ = ["AssociationRule", "generate_rules"]
 

@@ -44,8 +44,8 @@ class _Node:
 class HashTrie:
     """Hash-fanout trie holding one generation of k-candidates.
 
-    Unlike :class:`~repro.trie.trie.CandidateTrie` (which accumulates
-    all generations for candidate generation), a ``HashTrie`` holds a
+    Unlike the level arrays of :mod:`~repro.trie.level` (which hold
+    every generation for candidate generation), a ``HashTrie`` holds a
     single generation and exists to be *counted against* horizontal
     transactions.
     """

@@ -4,18 +4,19 @@ Generation ``k`` is a lexicographically sorted ``(n, k)`` int32 array.
 Runs of rows sharing their first ``k-1`` items are the children of one
 depth-``(k-1)`` node — the paper's sibling groups — so the trie's shape
 is the sort order and no node objects exist. :func:`join_level` emits
-candidates in the pointer trie's DFS order, which is lexicographic.
+candidates in a prefix tree's DFS order, which is lexicographic;
+:func:`join_frequent` runs the same join over sorted-tuple lists.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from ..errors import TrieError
 
-__all__ = ["join_level", "row_keys"]
+__all__ = ["join_level", "join_frequent", "row_keys"]
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -72,3 +73,22 @@ def join_level(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             hit = (level[at] == subset).all(axis=1)
             candidates, left = candidates[hit], left[hit]
     return candidates, left.astype(np.int64, copy=False)
+
+
+def join_frequent(frequent_k: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """:func:`join_level` over sorted tuples instead of an array.
+
+    Joins pairs sharing the first k-1 items, then applies the subset
+    prune. Returns canonically sorted (k+1)-tuples in lexicographic
+    order.
+    """
+    level: List[Tuple[int, ...]] = sorted(set(frequent_k))
+    if not level:
+        return []
+    k = len(level[0])
+    if any(len(t) != k for t in level):
+        raise TrieError("join_frequent requires itemsets of equal length")
+    if any(any(b <= a for a, b in zip(t, t[1:])) for t in level):
+        raise TrieError("itemsets must be strictly increasing tuples")
+    candidates, _ = join_level(np.array(level, dtype=np.int32).reshape(-1, k))
+    return list(map(tuple, candidates.tolist()))

@@ -1,10 +1,9 @@
-"""Unit tests for the benchmark harness (timing, runner, figures, tables)."""
+"""Unit tests for the benchmark harness (runner, figures, tables)."""
 
 import pytest
 
 from repro.bench import (
     build_figure6,
-    measure,
     render_figure,
     render_table,
     run_algorithm,
@@ -15,21 +14,6 @@ from repro.bench import (
 )
 from repro.bench.report import format_seconds
 from repro.bench.tables import PAPER_TABLE2
-
-
-class TestMeasure:
-    def test_basic(self):
-        t = measure(lambda: sum(range(1000)), repeat=3)
-        assert t.runs == 3
-        assert 0 < t.best <= t.mean
-
-    def test_min_total_floor(self):
-        t = measure(lambda: None, repeat=1, min_total_seconds=0.01)
-        assert t.runs > 1
-
-    def test_invalid_repeat(self):
-        with pytest.raises(ValueError):
-            measure(lambda: None, repeat=0)
 
 
 class TestRunAlgorithm:

@@ -5,16 +5,13 @@ import pytest
 
 from repro.bitset import (
     BitsetMatrix,
-    intersect_pair,
-    intersect_rows,
-    popcount,
     popcount_words,
     support_many,
-    support_of_rows,
     support_words,
     tile_bounds,
 )
 from repro.bitset import ops
+from repro.bitset.ops import and_rows, row_supports
 from repro.bitset.hybrid import HybridLayout, hybrid_supports
 from repro.bitset.ops import _POPCOUNT16
 from repro.errors import BitsetError
@@ -27,7 +24,7 @@ class TestPopcount:
 
     def test_total(self):
         words = np.array([[3, 1], [0, 7]], dtype=np.uint32)
-        assert popcount(words) == 2 + 1 + 0 + 3
+        assert row_supports(words).tolist() == [2 + 1, 0 + 3]
 
     def test_matches_lookup_table_fallback(self):
         rng = np.random.default_rng(1)
@@ -42,34 +39,19 @@ class TestPopcount:
             popcount_words(np.zeros(4, dtype=np.uint64))
 
     def test_empty(self):
-        assert popcount(np.zeros(0, dtype=np.uint32)) == 0
+        assert row_supports(np.zeros((2, 0), dtype=np.uint32)).tolist() == [0, 0]
 
 
 class TestIntersections:
     def test_pair(self):
-        a = np.array([0b1100, 0b1111], dtype=np.uint32)
-        b = np.array([0b1010, 0b0000], dtype=np.uint32)
-        assert intersect_pair(a, b).tolist() == [0b1000, 0]
+        words = np.array([[0b1100, 0b1111], [0b1010, 0b0000]], dtype=np.uint32)
+        assert and_rows(words, np.array([[0, 1]])).tolist() == [[0b1000, 0]]
 
-    def test_pair_shape_mismatch(self):
-        with pytest.raises(BitsetError, match="differ"):
-            intersect_pair(np.zeros(2, np.uint32), np.zeros(3, np.uint32))
-
-    def test_intersect_rows_matches_sets(self, paper_db):
+    def test_and_rows_matches_sets(self, paper_db):
         m = BitsetMatrix.from_database(paper_db)
-        row = intersect_rows(m, [1, 4])
+        row = and_rows(m.words, np.array([[1, 4]]))[0]
         got = np.unpackbits(row.view(np.uint8), bitorder="little")[:4]
         assert got.tolist() == [1, 0, 0, 1]  # transactions {0,3}
-
-    def test_intersect_rows_empty_itemset_is_all_ones(self, paper_db):
-        m = BitsetMatrix.from_database(paper_db)
-        row = intersect_rows(m, [])
-        assert popcount(row) == paper_db.n_transactions
-
-    def test_support_of_rows_matches_db(self, small_db):
-        m = BitsetMatrix.from_database(small_db)
-        for itemset in ([0], [0, 1], [2, 5, 7]):
-            assert support_of_rows(m, itemset) == small_db.support(itemset)
 
 
 class TestSupportMany:

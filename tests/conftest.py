@@ -53,6 +53,33 @@ def empty_db() -> TransactionDatabase:
     return TransactionDatabase([], n_items=0)
 
 
+@pytest.fixture(params=["missing", "directory", "non_ascii", "corrupt_gz"])
+def unreadable_fimi(request, tmp_path) -> str:
+    """A path :func:`~repro.datasets.read_fimi` cannot read, one per way
+    a FIMI input fails below the parser."""
+    kind = request.param
+    if kind == "missing":
+        return str(tmp_path / "nope.dat")
+    if kind == "directory":
+        return str(tmp_path)
+    if kind == "non_ascii":
+        path = tmp_path / "latin1.dat"
+        path.write_bytes(b"1 2\n\xe9 3\n")
+    else:
+        path = tmp_path / "corrupt.dat.gz"
+        path.write_bytes(b"not gzip data")
+    return str(path)
+
+
+def fleet_clocks(result) -> Tuple[float, float]:
+    """The two modeled clocks of an ``engine="multigpu"`` run:
+    ``(fleet makespan, the same generations on one device)``."""
+    return (
+        result.metrics.modeled_breakdown["fleet_makespan"],
+        result.metrics.registry.gauges["fleet.single_device_seconds"],
+    )
+
+
 def brute_force_frequent(
     db: TransactionDatabase, min_count: int, max_k: int | None = None
 ) -> Dict[Tuple[int, ...], int]:

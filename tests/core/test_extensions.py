@@ -14,11 +14,16 @@ from repro import (
     gpapriori_mine,
     gpu_eclat_mine,
     hybrid_mine,
-    multigpu_mine,
-    scaling_efficiency,
+    mine,
 )
 from repro.baselines.partition import partition_mine
 from repro.errors import ConfigError, MiningError
+from tests.conftest import fleet_clocks
+
+
+def fleet_mine(db, min_support, devices):
+    """Mine on a fleet of ``devices`` simulated T10s."""
+    return mine(db, min_support, engine="multigpu", devices=devices)
 
 
 class TestStaticBalancer:
@@ -102,65 +107,46 @@ class TestMultiGpu:
     def test_partitioning_never_changes_results(self, small_db, oracle):
         want = oracle(small_db, 8)
         for n in (1, 2, 4, 7):
-            got = multigpu_mine(small_db, 8, n_devices=n)
-            assert got.result.as_dict() == want, n
+            got = fleet_mine(small_db, 8, n)
+            assert got.as_dict() == want, n
 
     def test_single_device_matches_itself(self, small_db):
-        r = multigpu_mine(small_db, 8, n_devices=1)
-        assert r.speedup == pytest.approx(1.0)
-        assert r.efficiency == pytest.approx(1.0)
+        makespan, single = fleet_clocks(fleet_mine(small_db, 8, 1))
+        assert makespan > 0
+        assert single == pytest.approx(makespan)
 
     def test_speedup_bounded_by_device_count(self, small_db):
-        r = multigpu_mine(small_db, 8, n_devices=4)
-        assert r.speedup <= 4.0 + 1e-9
-        assert 0 < r.efficiency <= 1.0 + 1e-9
+        makespan, single = fleet_clocks(fleet_mine(small_db, 8, 4))
+        assert 0 < makespan and 0 < single <= 4.0 * makespan * (1 + 1e-9)
 
     def test_large_generations_scale(self, dense_db):
         """With enough candidates per generation the fleet must show a
         real speedup (launch overheads are per-device but work divides)."""
-        one = multigpu_mine(dense_db, 10, n_devices=1)
-        four = multigpu_mine(dense_db, 10, n_devices=4)
-        assert four.makespan_seconds < one.makespan_seconds
+        one, _ = fleet_clocks(fleet_mine(dense_db, 10, 1))
+        four, _ = fleet_clocks(fleet_mine(dense_db, 10, 4))
+        assert four < one
 
     def test_scaling_sweep_shapes(self, small_db):
-        results = scaling_efficiency(small_db, 8, device_counts=[1, 2, 4])
-        assert [r.n_devices for r in results] == [1, 2, 4]
+        spans = [fleet_clocks(fleet_mine(small_db, 8, n))[0] for n in (1, 2, 4)]
         # makespan is non-increasing in fleet size
-        spans = [r.makespan_seconds for r in results]
         assert spans == sorted(spans, reverse=True)
 
     def test_invalid_device_count(self, small_db):
         with pytest.raises(ConfigError):
-            multigpu_mine(small_db, 8, n_devices=0)
+            fleet_mine(small_db, 8, -1)
         with pytest.raises(ConfigError):
-            multigpu_mine(small_db, 8, n_devices=True)
+            fleet_mine(small_db, 8, True)
 
-    def test_zero_makespan_efficiency_is_one(self, small_db):
-        """Regression: a zero-makespan result (degenerate
-        single-candidate runs priced at 0.0) must report
-        speedup == efficiency == 1.0, not divide by zero."""
-        from repro.core.multigpu import MultiGpuResult
-
-        base = multigpu_mine(small_db, 8, n_devices=4)
-        degenerate = MultiGpuResult(
-            result=base.result,
-            n_devices=4,
-            makespan_seconds=0.0,
-            single_device_seconds=0.0,
-        )
-        assert degenerate.speedup == 1.0
-        assert degenerate.efficiency == 1.0
-
-    def test_scaling_efficiency_survives_degenerate_workload(self):
-        """An (almost) empty workload sweeps without ZeroDivisionError
-        and reports finite efficiencies."""
+    def test_degenerate_workload_clocks_are_finite(self):
+        """An (almost) empty workload runs on every fleet size and
+        reports positive, finite clocks with speedup <= devices."""
         from repro.datasets import TransactionDatabase
 
         db = TransactionDatabase([[0]], n_items=1)
-        results = scaling_efficiency(db, 1, device_counts=[1, 2])
-        for r in results:
-            assert r.efficiency == r.efficiency  # not NaN
-            assert 0 < r.efficiency <= 1.0 + 1e-9
+        for n in (1, 2):
+            makespan, single = fleet_clocks(fleet_mine(db, 1, n))
+            assert 0 < makespan < float("inf")
+            assert single <= n * makespan * (1 + 1e-9)
 
 
 class TestGpuEclat:

@@ -64,6 +64,11 @@ class TestReadFimi:
         write_fimi(db, p)
         assert read_fimi(p, n_items=3) == db
 
+    def test_unreadable_input_is_a_dataset_error(self, unreadable_fimi):
+        with pytest.raises(DatasetError, match="cannot read FIMI file") as err:
+            read_fimi(unreadable_fimi)
+        assert repr(unreadable_fimi) in str(err.value)
+
 
 class TestWriteFimi:
     def test_roundtrip_buffer(self, paper_db):

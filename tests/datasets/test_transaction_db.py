@@ -103,11 +103,8 @@ class TestAccess:
         assert hash(clone) == hash(paper_db)
 
     def test_inequality_different_universe(self, paper_db):
-        other = TransactionDatabase(paper_db.to_lists(), n_items=9)
+        other = TransactionDatabase([row.tolist() for row in paper_db], n_items=9)
         assert other != paper_db
-
-    def test_to_lists(self, paper_db):
-        assert paper_db.to_lists()[2] == [3, 4, 6, 7]
 
 
 class TestSupports:
@@ -157,59 +154,6 @@ class TestStats:
         assert "demo" in row and "Real" in row and "4" in row
 
 
-class TestTransforms:
-    def test_remap_by_frequency(self, paper_db):
-        remapped, old_ids = paper_db.remap_by_frequency()
-        # items 3,4 (support 4) must become ids 0,1
-        assert set(old_ids[:2].tolist()) == {3, 4}
-        # support distribution is preserved under relabeling
-        assert sorted(remapped.item_supports().tolist()) == sorted(
-            paper_db.item_supports().tolist()
-        )
-
-    def test_remap_preserves_transaction_sizes(self, paper_db):
-        remapped, _ = paper_db.remap_by_frequency()
-        assert np.array_equal(
-            remapped.transaction_lengths(), paper_db.transaction_lengths()
-        )
-
-    def test_remap_rows_sorted(self, small_db):
-        remapped, _ = small_db.remap_by_frequency()
-        for row in remapped:
-            assert np.all(np.diff(row) > 0)
-
-    def test_remap_supports_consistent(self, small_db):
-        remapped, old_ids = small_db.remap_by_frequency()
-        new_sup = remapped.item_supports()
-        old_sup = small_db.item_supports()
-        for new_id in range(small_db.n_items):
-            assert new_sup[new_id] == old_sup[old_ids[new_id]]
-
-    def test_filter_items(self, paper_db):
-        filtered = paper_db.filter_items([3, 4])
-        for row in filtered:
-            assert set(row.tolist()) <= {3, 4}
-        assert filtered.n_transactions == paper_db.n_transactions
-
-    def test_filter_items_out_of_range(self, paper_db):
-        with pytest.raises(DatasetError):
-            paper_db.filter_items([99])
-
-    def test_sample_transactions(self, small_db):
-        sample = small_db.sample_transactions(10, seed=1)
-        assert len(sample) == 10
-        assert sample.n_items == small_db.n_items
-
-    def test_sample_too_many(self, small_db):
-        with pytest.raises(DatasetError):
-            small_db.sample_transactions(1000)
-
-    def test_sample_deterministic(self, small_db):
-        a = small_db.sample_transactions(10, seed=7)
-        b = small_db.sample_transactions(10, seed=7)
-        assert a == b
-
-
 class TestDenseConversions:
     def test_to_dense_paper_example(self, paper_db):
         dense = paper_db.to_dense()
@@ -223,7 +167,7 @@ class TestDenseConversions:
 
     def test_from_dense_01_matrix(self):
         db = TransactionDatabase.from_dense(np.array([[0, 1, 1], [1, 0, 0]]))
-        assert db.to_lists() == [[1, 2], [0]]
+        assert [row.tolist() for row in db] == [[1, 2], [0]]
 
     def test_from_dense_rejects_1d(self):
         with pytest.raises(DatasetError, match="2-D"):

@@ -70,15 +70,17 @@ class TestMultiGpuProperties:
         st.integers(min_value=1, max_value=9),
     )
     def test_partitioning_invariant(self, db, n_devices):
-        from repro import multigpu_mine
+        from repro import mine
+        from tests.conftest import fleet_clocks
 
         if len(db) == 0:
             return
         min_count = max(1, len(db) // 4)
         ref = gpapriori_mine(db, min_count)
-        got = multigpu_mine(db, min_count, n_devices=n_devices)
-        assert got.result.same_itemsets(ref)
-        assert 0 < got.speedup <= n_devices + 1e-9
+        got = mine(db, min_count, engine="multigpu", devices=n_devices)
+        assert got.same_itemsets(ref)
+        makespan, single = fleet_clocks(got)
+        assert 0 < makespan and 0 < single <= n_devices * makespan * (1 + 1e-9)
 
     @SLOW
     @given(

@@ -6,10 +6,12 @@ itemsets, the results are downward closed, and the paper's plan/engine
 variants are all equivalent.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ALGORITHMS, GPAprioriConfig, gpapriori_mine, mine
+from repro.datasets import TransactionDatabase
 from tests.conftest import brute_force_frequent
 from tests.property.strategies import transaction_databases
 
@@ -104,12 +106,15 @@ class TestStructuralInvariants:
         assert capped == {t: s for t, s in full.items() if len(t) <= k}
 
     @SLOW_SETTINGS
-    @given(transaction_databases(max_items=8, max_transactions=25))
-    def test_remap_preserves_itemset_count(self, db):
-        """Frequency-relabeled databases mine isomorphic results."""
+    @given(transaction_databases(max_items=8, max_transactions=25), st.data())
+    def test_remap_preserves_itemset_count(self, db, data):
+        """Relabeled databases mine isomorphic results."""
         min_count = max(1, len(db) // 3)
         original = gpapriori_mine(db, min_count)
-        remapped_db, old_ids = db.remap_by_frequency()
+        new_ids = np.array(data.draw(st.permutations(range(db.n_items))), dtype=np.int64)
+        remapped_db = TransactionDatabase(
+            [np.sort(new_ids[row]).tolist() for row in db], n_items=db.n_items
+        )
         remapped = gpapriori_mine(remapped_db, min_count)
         assert len(original) == len(remapped)
         # supports multiset is invariant under relabeling

@@ -1,4 +1,4 @@
-"""Property-based tests: trie and candidate-generation invariants."""
+"""Property-based tests: candidate-generation and counting-trie invariants."""
 
 from itertools import combinations
 
@@ -7,46 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trie import CandidateTrie, HashTrie, generate_candidates, join_frequent
+from repro.trie import HashTrie, join_frequent
 from repro.trie.level import join_level
 from tests.property.strategies import itemset_levels, transaction_databases
-
-itemsets_strategy = st.lists(
-    st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=5, unique=True)
-    .map(lambda x: tuple(sorted(x))),
-    min_size=0,
-    max_size=25,
-    unique=True,
-)
-
-
-class TestTrieInvariants:
-    @given(itemsets_strategy)
-    def test_insert_find_roundtrip(self, itemsets):
-        trie = CandidateTrie()
-        for i, s in enumerate(itemsets):
-            trie.insert(s, i + 1)
-        for i, s in enumerate(itemsets):
-            assert trie.support_of(s) == i + 1
-
-    @given(itemsets_strategy)
-    def test_node_count_equals_distinct_prefixes(self, itemsets):
-        trie = CandidateTrie()
-        for s in itemsets:
-            trie.insert(s, 1)
-        prefixes = {s[: i + 1] for s in itemsets for i in range(len(s))}
-        assert trie.n_nodes == len(prefixes)
-
-    @given(itemsets_strategy)
-    def test_itemsets_at_depth_sorted_and_complete(self, itemsets):
-        trie = CandidateTrie()
-        for s in itemsets:
-            trie.insert(s, 1)
-        prefixes = {s[: i + 1] for s in itemsets for i in range(len(s))}
-        for depth in range(1, 6):
-            got = trie.itemsets_at_depth(depth)
-            want = sorted(p for p in prefixes if len(p) == depth)
-            assert got == want
 
 
 class TestJoinProperties:
@@ -65,15 +28,6 @@ class TestJoinProperties:
             ):
                 want.add(combo)
         assert got == want
-
-    @settings(max_examples=60)
-    @given(itemset_levels(max_item=9, k=2, max_count=20))
-    def test_trie_join_equals_flat_join(self, level):
-        trie = CandidateTrie()
-        for s in level:
-            trie.insert(s, 1)
-        via_trie = [tuple(r) for r in generate_candidates(trie, 2)]
-        assert via_trie == join_frequent(level)
 
     @given(itemset_levels(max_item=9, k=1, max_count=12))
     def test_level1_join_is_all_pairs(self, level):

@@ -10,7 +10,7 @@ import urllib.request
 import pytest
 
 from repro.core.api import mine
-from repro.datasets import TransactionDatabase
+from repro.datasets import TransactionDatabase, read_fimi
 from repro.service import MiningService, make_server
 
 
@@ -119,6 +119,15 @@ class TestMine:
         status, doc = _post(server, "/mine", {"dataset": "nope", "min_support": 2})
         assert status == 404
         assert doc["type"] == "DatasetError"
+
+    def test_unreadable_file_dataset_404(self, server, unreadable_fimi):
+        server.service.register_dataset(
+            "broken", lambda: read_fimi(unreadable_fimi), provenance="file"
+        )
+        status, doc = _post(server, "/mine", {"dataset": "broken", "min_support": 2})
+        assert status == 404
+        assert doc["type"] == "DatasetError"
+        assert repr(unreadable_fimi) in doc["error"]
 
     def test_bad_support_400(self, server):
         status, doc = _post(server, "/mine", {"dataset": "toy", "min_support": 0})

@@ -63,6 +63,24 @@ class TestMineCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "--min-support", "0.5"],
+            ["rules", "--min-support", "0.5"],
+            ["figure"],
+            ["store", "--store-dir", "{tmp}", "build"],
+            ["serve", "--port", "0", "--dataset", "chess", "--scale", "0.01", "--preload"],
+        ],
+        ids=["mine", "rules", "figure", "store-build", "serve-preload"],
+    )
+    def test_unreadable_file_exits_2(self, unreadable_fimi, command, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path / "store") for arg in command]
+        assert main(argv + ["--file", unreadable_fimi]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read FIMI file")
+        assert "Traceback" not in err
+
     def test_inject_fault_surfaces_typed_error(self, fimi_file, capsys):
         code = main(
             [

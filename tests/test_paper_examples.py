@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.bitset import BitsetMatrix, TidsetTable
+from repro.bitset.ops import and_rows, support_words
 from repro.datasets import TransactionDatabase
-from repro.trie import CandidateTrie, join_frequent
+from repro.trie import join_frequent, join_level
 
 
 @pytest.fixture
@@ -60,11 +61,10 @@ class TestFigure2:
     def test_join_example(self, fig2_db):
         """Fig. 2B bottom: {1,2} -> 1000, {1,3} -> 1001, {1,4} -> 1001."""
         matrix = BitsetMatrix.from_database(fig2_db)
-        from repro.bitset import intersect_rows, popcount
-
         expected = {(1, 2): "1000", (1, 3): "1001", (1, 4): "1001"}
-        for items, bits in expected.items():
-            row = intersect_rows(matrix, items)
+        candidates = np.array(list(expected), dtype=np.int32)
+        rows = and_rows(matrix.words, candidates)
+        for row, (items, bits) in zip(rows, expected.items()):
             got = "".join(
                 "1"
                 if (int(row[t // 32]) >> (t % 32)) & 1
@@ -72,25 +72,27 @@ class TestFigure2:
                 for t in range(4)
             )
             assert got == bits, items
-            assert popcount(row) == bits.count("1")
+        assert support_words(matrix.words, candidates).tolist() == [
+            bits.count("1") for bits in expected.values()
+        ]
 
 
 class TestFigure1:
     """Fig. 1: the candidate trie holds generations as shared prefixes."""
 
     def test_generations_share_prefixes(self):
-        trie = CandidateTrie()
-        # generations 1..3 over items {1,2,3}: all share prefixes
-        for itemset in [(1,), (2,), (3,)]:
-            trie.insert(itemset, 1)
-        for itemset in [(1, 2), (1, 3), (2, 3)]:
-            trie.insert(itemset, 1)
-        trie.insert((1, 2, 3), 1)
-        # 3 + 3 + 1 itemsets but only 7 nodes: prefixes are shared
-        assert trie.n_nodes == 7
+        # generation 2 over items {1,2,3}, stored by level: the sorted
+        # rows whose (k-1)-prefix runs are the trie's sibling groups
+        level = np.array([(1, 2), (1, 3), (2, 3)], dtype=np.int32)
+        candidates, parents = join_level(level)
         # "new candidate generation ... merging the leaf nodes and their
-        # siblings and appending new leaves to the current leaf layer"
-        assert trie.itemsets_at_depth(3) == [(1, 2, 3)]
+        # siblings and appending new leaves to the current leaf layer":
+        # siblings (1,2) and (1,3) join; (2,3) has no right sibling
+        assert candidates.tolist() == [[1, 2, 3]]
+        # the new leaf hangs under its parent: the prefix is shared,
+        # not copied into a new branch
+        assert parents.tolist() == [0]
+        assert (candidates[:, :2] == level[parents]).all()
 
 
 class TestFigure4:
@@ -124,10 +126,12 @@ class TestFigure4:
         ]
         db = TransactionDatabase(rows, n_items=8)
         matrix = BitsetMatrix.from_database(db)
-        from repro.bitset import support_of_rows
-
-        for candidate in [(1, 2, 4, 5), (1, 2, 4, 6), (1, 2, 5, 6)]:
-            assert support_of_rows(matrix, candidate) == db.support(candidate)
+        candidates = np.array(
+            [(1, 2, 4, 5), (1, 2, 4, 6), (1, 2, 5, 6)], dtype=np.int32
+        )
+        assert support_words(matrix.words, candidates).tolist() == [
+            db.support(c) for c in candidates
+        ]
 
 
 class TestFigure5:

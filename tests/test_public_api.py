@@ -57,7 +57,6 @@ class TestExports:
             "ShardPlan",
             "ShardedEngine",
             "hybrid_mine",
-            "multigpu_mine",
             "gpu_eclat_mine",
         ):
             assert hasattr(repro, name)
@@ -95,9 +94,8 @@ class TestDocumentation:
         from repro.bitset import BitsetMatrix, TidsetTable
         from repro.core.itemset import MiningResult
         from repro.datasets import TransactionDatabase
-        from repro.trie import CandidateTrie
 
-        for cls in (TransactionDatabase, BitsetMatrix, TidsetTable, MiningResult, CandidateTrie):
+        for cls in (TransactionDatabase, BitsetMatrix, TidsetTable, MiningResult):
             for name, member in vars(cls).items():
                 if name.startswith("_") or not callable(member):
                     continue

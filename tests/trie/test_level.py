@@ -1,4 +1,4 @@
-"""Unit tests for the array-encoded level join and its row keys."""
+"""Unit tests for the array-encoded level join, its tuple-list adapter and its row keys."""
 
 from itertools import combinations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrieError
-from repro.trie.level import join_level, row_keys
+from repro.trie.level import join_frequent, join_level, row_keys
 
 
 def _expected(level):
@@ -71,3 +71,46 @@ class TestExactKeysAtAnyDepth:
         by_key = rows[np.argsort(row_keys(rows), kind="stable")]
         by_row = rows[np.lexsort(rows.T[::-1])]
         assert by_key.tolist() == by_row.tolist()
+
+
+class TestJoinFrequent:
+    def test_basic(self):
+        got = join_frequent([(1,), (2,), (3,)])
+        assert got == [(1, 2), (1, 3), (2, 3)]
+
+    def test_prefix_blocks(self):
+        got = join_frequent([(1, 2), (1, 3), (2, 4)])
+        # only (1,2)+(1,3) share a prefix; (1,2,3) needs (2,3) frequent
+        assert got == []
+
+    def test_with_closure(self):
+        got = join_frequent([(1, 2), (1, 3), (2, 3)])
+        assert got == [(1, 2, 3)]
+
+    def test_empty(self):
+        assert join_frequent([]) == []
+
+    def test_deduplicates_input(self):
+        got = join_frequent([(1,), (1,), (2,)])
+        assert got == [(1, 2)]
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(TrieError, match="equal length"):
+            join_frequent([(1,), (1, 2)])
+
+    def test_unsorted_tuple_rejected(self):
+        with pytest.raises(TrieError, match="strictly increasing"):
+            join_frequent([(2, 1)])
+
+    def test_candidate_superset_of_true_candidates(self, small_db):
+        """Every truly frequent (k+1)-itemset appears among candidates
+        joined from the frequent k-level (Apriori completeness)."""
+        from repro import mine
+
+        result = mine(small_db, 6)
+        freq = result.as_dict()
+        for k in range(1, result.max_size()):
+            level = [t for t in freq if len(t) == k]
+            candidates = set(join_frequent(level))
+            true_next = {t for t in freq if len(t) == k + 1}
+            assert true_next <= candidates
