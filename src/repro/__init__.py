@@ -22,38 +22,23 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
 the paper-versus-measured comparison of every experiment.
 """
 
-from .core.api import ALGORITHMS, mine
-from .core.config import GPAprioriConfig
-from .core.gpapriori import gpapriori_mine
-from .core.fleet import FleetEngine, FleetPlan
-from .core.sharding import ShardPlan, ShardedEngine
-from .core.gpu_eclat import gpu_eclat_mine
-from .core.balance import ModelBalancer, StaticBalancer, hybrid_mine
-from .core.itemset import Itemset, MiningResult, RunMetrics
-from .errors import ReproError
-from .faults import FaultPlan, FaultSpec, parse_fault_spec
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "mine",
-    "ALGORITHMS",
-    "GPAprioriConfig",
-    "ShardPlan",
-    "ShardedEngine",
-    "FleetEngine",
-    "FleetPlan",
-    "gpapriori_mine",
-    "gpu_eclat_mine",
-    "hybrid_mine",
-    "StaticBalancer",
-    "ModelBalancer",
-    "Itemset",
-    "MiningResult",
-    "RunMetrics",
-    "FaultPlan",
-    "FaultSpec",
-    "parse_fault_spec",
-    "ReproError",
-    "__version__",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.api": ("mine", "ALGORITHMS"),
+        ".core.config": ("GPAprioriConfig",),
+        ".core.sharding": ("ShardPlan", "ShardedEngine"),
+        ".core.fleet": ("FleetEngine", "FleetPlan"),
+        ".core.gpapriori": ("gpapriori_mine",),
+        ".core.gpu_eclat": ("gpu_eclat_mine",),
+        ".core.balance": ("hybrid_mine", "StaticBalancer", "ModelBalancer"),
+        ".core.itemset": ("Itemset", "MiningResult", "RunMetrics"),
+        ".faults.plan": ("FaultPlan", "FaultSpec", "parse_fault_spec"),
+        ".errors": ("ReproError",),
+    },
+)
+__all__ = [*_EXPORTS, "__version__"]

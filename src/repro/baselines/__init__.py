@@ -23,20 +23,17 @@ Every baseline returns the same :class:`~repro.core.itemset.MiningResult`
 and records the operation counters its cost model needs.
 """
 
-from .cpu_bitset import cpu_bitset_mine
-from .borgelt import borgelt_mine
-from .bodon import bodon_mine
-from .goethals import goethals_mine
-from .eclat import eclat_mine
-from .fpgrowth import fpgrowth_mine
-from .partition import partition_mine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "cpu_bitset_mine",
-    "borgelt_mine",
-    "bodon_mine",
-    "goethals_mine",
-    "eclat_mine",
-    "fpgrowth_mine",
-    "partition_mine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cpu_bitset": ("cpu_bitset_mine",),
+        ".borgelt": ("borgelt_mine",),
+        ".bodon": ("bodon_mine",),
+        ".goethals": ("goethals_mine",),
+        ".eclat": ("eclat_mine",),
+        ".fpgrowth": ("fpgrowth_mine",),
+        ".partition": ("partition_mine",),
+    },
+)

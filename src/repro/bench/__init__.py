@@ -14,24 +14,15 @@ The modules here regenerate the paper's evaluation artifacts:
 * :mod:`~repro.bench.profiler` — the ``repro profile`` report.
 """
 
-from .runner import RunRecord, SweepResult, run_algorithm, support_sweep
-from .figures import FigureSeries, build_figure6, speedup_table
-from .tables import table1_rows, table2_rows
-from .report import render_table, render_figure
-from .ascii_plot import ascii_chart, figure6_chart
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RunRecord",
-    "SweepResult",
-    "run_algorithm",
-    "support_sweep",
-    "FigureSeries",
-    "build_figure6",
-    "speedup_table",
-    "table1_rows",
-    "table2_rows",
-    "render_table",
-    "render_figure",
-    "ascii_chart",
-    "figure6_chart",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".runner": ("RunRecord", "SweepResult", "run_algorithm", "support_sweep"),
+        ".figures": ("FigureSeries", "build_figure6", "speedup_table"),
+        ".tables": ("table1_rows", "table2_rows"),
+        ".report": ("render_table", "render_figure"),
+        ".ascii_plot": ("ascii_chart", "figure6_chart"),
+    },
+)

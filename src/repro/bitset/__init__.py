@@ -14,44 +14,27 @@ This package implements:
 * :mod:`~repro.bitset.vertical` — conversions between layouts.
 """
 
-from .bitset import BitsetMatrix, WORD_BITS, ALIGN_BYTES, WORDS_PER_ALIGN
-from .ops import (
-    popcount_words,
-    support_many,
-    support_words,
-    tile_bounds,
-)
-from .tidset import TidsetTable, intersect_tidsets, intersect_tidsets_merge
-from .vertical import build_bitset_matrix, build_tidset_table, bitset_to_tidsets, tidsets_to_bitset
-from .hybrid import (
-    HybridLayout,
-    auto_dense_threshold,
-    choose_layout,
-    hybrid_supports,
-    hybrid_tables,
-    densify_rows,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BitsetMatrix",
-    "WORD_BITS",
-    "ALIGN_BYTES",
-    "WORDS_PER_ALIGN",
-    "popcount_words",
-    "support_many",
-    "support_words",
-    "tile_bounds",
-    "TidsetTable",
-    "intersect_tidsets",
-    "intersect_tidsets_merge",
-    "build_bitset_matrix",
-    "build_tidset_table",
-    "bitset_to_tidsets",
-    "tidsets_to_bitset",
-    "HybridLayout",
-    "auto_dense_threshold",
-    "choose_layout",
-    "hybrid_supports",
-    "hybrid_tables",
-    "densify_rows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bitset": ("BitsetMatrix", "WORD_BITS", "ALIGN_BYTES", "WORDS_PER_ALIGN"),
+        ".ops": ("popcount_words", "support_many", "support_words", "tile_bounds"),
+        ".tidset": ("TidsetTable", "intersect_tidsets", "intersect_tidsets_merge"),
+        ".vertical": (
+            "build_bitset_matrix",
+            "build_tidset_table",
+            "bitset_to_tidsets",
+            "tidsets_to_bitset",
+        ),
+        ".hybrid": (
+            "HybridLayout",
+            "auto_dense_threshold",
+            "choose_layout",
+            "hybrid_supports",
+            "hybrid_tables",
+            "densify_rows",
+        ),
+    },
+)

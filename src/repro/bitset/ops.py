@@ -10,6 +10,7 @@ row-major access.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,11 +37,21 @@ operand and its per-word counts stay resident in a core's L2."""
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-# 16-bit lookup table fallback for NumPy < 2.0 (kept for portability and
-# used by tests to cross-check np.bitwise_count).
-_POPCOUNT16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
+
+@lru_cache(maxsize=None)
+def _popcount16() -> np.ndarray:
+    """The 16-bit popcount lookup table of the NumPy < 2.0 fallback,
+    built on first use."""
+    bits = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
+    return bits.reshape(-1, 16).sum(axis=1, dtype=np.uint8)
+
+
+def __getattr__(name: str):
+    # ``_POPCOUNT16`` stays importable: tests cross-check
+    # ``np.bitwise_count`` against the fallback table.
+    if name == "_POPCOUNT16":
+        return _popcount16()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:
@@ -55,9 +66,8 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
         raise BitsetError(f"popcount_words expects uint32, got {words.dtype}")
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(words)
-    lo = _POPCOUNT16[words & np.uint32(0xFFFF)]
-    hi = _POPCOUNT16[words >> np.uint32(16)]
-    return lo + hi
+    table = _popcount16()
+    return table[words & np.uint32(0xFFFF)] + table[words >> np.uint32(16)]
 
 
 def tile_bounds(

@@ -28,16 +28,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench.figures import build_figure6
-from .bench.report import format_seconds, render_figure, render_table
-from .bench.runner import support_sweep
-from .bench.tables import table2_rows
 from .core.api import ALGORITHMS, mine
 from .datasets.io import read_fimi
 from .datasets.synthetic import DATASET_REGISTRY, dataset_analog
 from .errors import ReproError
-from .obs import TRACE_FORMATS, Tracer, aggregate, load_trace, write_trace
-from .rules.rules import generate_rules
+from .obs import TRACE_FORMATS
 
 __all__ = ["main", "build_parser"]
 
@@ -499,6 +494,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         # stays byte-comparable with the serve endpoint's "result" field.
         _emit(result.to_json())
         return 0
+    from .bench.report import format_seconds
+
     _emit(f"dataset: {label}  ({db.n_transactions} transactions, {db.n_items} items)")
     _emit(
         f"{args.algorithm}: {len(result)} frequent itemsets "
@@ -527,6 +524,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
+    from .rules.rules import generate_rules
+
     db, label = _load_db(args)
     result = mine(db, args.min_support, algorithm="gpapriori")
     rules = generate_rules(result, min_confidence=args.min_confidence)
@@ -543,6 +542,9 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from .bench.report import render_table
+    from .bench.tables import table2_rows
+
     dbs = {name: dataset_analog(name, scale=args.scale) for name in DATASET_REGISTRY}
     rows = table2_rows(dbs)
     _emit(f"Table 2 analogs at scale={args.scale}:")
@@ -555,6 +557,8 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_algorithms(_args: argparse.Namespace) -> int:
+    from .bench.report import render_table
+
     _emit("Table 1: tested frequent itemset mining algorithms")
     rows = [
         [key, info.name, info.platform, ", ".join(info.accepts)]
@@ -565,6 +569,10 @@ def _cmd_algorithms(_args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .bench.figures import build_figure6
+    from .bench.report import render_figure
+    from .bench.runner import support_sweep
+
     db, label = _load_db(args)
     algorithms = list(args.algorithms)
     if "borgelt" not in algorithms:
@@ -835,6 +843,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .bench.report import format_seconds, render_table
+    from .obs import aggregate, load_trace
+
     try:
         spans = load_trace(args.trace_file)
     except (OSError, ValueError) as exc:
@@ -879,6 +890,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.trace and args.command != "trace":
+            from .obs import Tracer, write_trace
+
             tracer = Tracer()
             with tracer.activate():
                 code = _COMMANDS[args.command](args)

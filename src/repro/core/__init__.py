@@ -25,41 +25,21 @@
 * :mod:`~repro.core.api` — the ``mine()`` facade and algorithm registry.
 """
 
-from .itemset import Itemset, MiningResult, RunMetrics
-from .config import GPAprioriConfig
-from .plans import CompleteIntersectionPlan, EquivalenceClassPlan, make_plan
-from .support import SimulatedEngine, VectorizedEngine, make_engine
-from .parallel import ParallelEngine
-from .sharding import Shard, ShardPlan, ShardedEngine, slice_matrix
-from .fleet import FleetEngine, FleetPlan
-from .gpapriori import gpapriori_mine
-from .balance import ModelBalancer, StaticBalancer, hybrid_mine
-from .gpu_eclat import gpu_eclat_mine
-from .api import ALGORITHMS, mine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Itemset",
-    "MiningResult",
-    "RunMetrics",
-    "GPAprioriConfig",
-    "CompleteIntersectionPlan",
-    "EquivalenceClassPlan",
-    "make_plan",
-    "VectorizedEngine",
-    "SimulatedEngine",
-    "ParallelEngine",
-    "Shard",
-    "ShardPlan",
-    "ShardedEngine",
-    "slice_matrix",
-    "FleetEngine",
-    "FleetPlan",
-    "make_engine",
-    "gpapriori_mine",
-    "StaticBalancer",
-    "ModelBalancer",
-    "hybrid_mine",
-    "gpu_eclat_mine",
-    "ALGORITHMS",
-    "mine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".itemset": ("Itemset", "MiningResult", "RunMetrics"),
+        ".config": ("GPAprioriConfig",),
+        ".plans": ("CompleteIntersectionPlan", "EquivalenceClassPlan", "make_plan"),
+        ".support": ("VectorizedEngine", "SimulatedEngine", "make_engine"),
+        ".parallel": ("ParallelEngine",),
+        ".sharding": ("Shard", "ShardPlan", "ShardedEngine", "slice_matrix"),
+        ".fleet": ("FleetEngine", "FleetPlan"),
+        ".gpapriori": ("gpapriori_mine",),
+        ".balance": ("StaticBalancer", "ModelBalancer", "hybrid_mine"),
+        ".gpu_eclat": ("gpu_eclat_mine",),
+        ".api": ("ALGORITHMS", "mine"),
+    },
+)

@@ -47,21 +47,12 @@ from ..bitset.bitset import BitsetMatrix
 from ..bitset.hybrid import HybridLayout, count_cost_stats, hybrid_tables
 from ..bitset.ops import and_rows, support_words
 from ..errors import BitsetError, ConfigError, DeviceMemoryError, MiningError
-from ..gpusim.coalescing import analyze_trace
 from ..gpusim.device import TESLA_T10, DeviceProperties
-from ..gpusim.kernel import LaunchConfig, launch_kernel
-from ..gpusim.memory import GlobalMemory
 from ..gpusim.perfmodel import GpuCostModel
 from ..gpusim.stats import CoalescingStats, KernelStats
 from ..obs import span
 from .config import GPAprioriConfig
 from .itemset import RunMetrics
-from .kernels import (
-    extend_kernel,
-    hybrid_extend_kernel,
-    hybrid_support_count_kernel,
-    support_count_kernel,
-)
 
 __all__ = [
     "BatchPrice",
@@ -143,6 +134,14 @@ def price_batch(
         dense_entries=dense_entries,
         sparse_tids=sparse_tids,
     )
+
+
+def launch_kernel(*args, **kwargs):
+    """:func:`repro.gpusim.kernel.launch_kernel`, imported on the first
+    simulated launch so that the other engines never load the simulator."""
+    from ..gpusim.kernel import launch_kernel as launch
+
+    return launch(*args, **kwargs)
 
 
 def _check_retain_indices(indices: np.ndarray, n_pending: int) -> np.ndarray:
@@ -418,9 +417,13 @@ class SimulatedEngine(SupportEngine):
     workload whose equivalence-class prefix cache exceeds the T10's
     capacity raises :class:`~repro.errors.DeviceMemoryError` here — the
     very failure mode the paper's complete-intersection design avoids.
+    It imports the simulator when built and the kernels when it counts,
+    so the vectorized and parallel paths never load either.
     """
 
     def __init__(self, config, metrics, device=TESLA_T10) -> None:
+        from ..gpusim.memory import GlobalMemory
+
         super().__init__(config, metrics, device)
         self.memory = GlobalMemory(device.global_mem_bytes)
         self._bitset_buf = None
@@ -505,7 +508,32 @@ class SimulatedEngine(SupportEngine):
             )
         return int(min(n, fit))
 
+    def _launch(self, kernel, m: int, k: int, args: tuple) -> None:
+        """Run ``kernel`` over one ``m``-block chunk of ``k``-item
+        candidates; record its access trace and launch stats."""
+        from ..gpusim.kernel import LaunchConfig
+
+        result = launch_kernel(
+            kernel,
+            LaunchConfig(grid_dim=m, block_dim=self._block_dim()),
+            args=args,
+            device=self.device,
+            trace=self.config.trace_accesses,
+        )
+        self.last_trace = result.trace
+        if result.trace:
+            self.coalescing_stats.record(self.coalescing_report())
+        self.kernel_stats.record_launch(
+            blocks=m,
+            threads_per_block=result.config.block_dim,
+            barriers=result.barriers,
+            candidate_words=m * k * self.n_words,
+            popcounts=m * self.n_words,
+        )
+
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
+        from .kernels import hybrid_support_count_kernel, support_count_kernel
+
         candidates = self._check_batch("complete", candidates).astype(np.int32)
         n, k = candidates.shape
         if n == 0:
@@ -549,23 +577,7 @@ class SimulatedEngine(SupportEngine):
                             sup_buf,
                             self.config.preload_candidates,
                         )
-                    result = launch_kernel(
-                        kernel,
-                        LaunchConfig(grid_dim=m, block_dim=self._block_dim()),
-                        args=args,
-                        device=self.device,
-                        trace=self.config.trace_accesses,
-                    )
-                    self.last_trace = result.trace
-                    if result.trace:
-                        self.coalescing_stats.record(analyze_trace(result.trace))
-                    self.kernel_stats.record_launch(
-                        blocks=m,
-                        threads_per_block=result.config.block_dim,
-                        barriers=result.barriers,
-                        candidate_words=m * k * self.n_words,
-                        popcounts=m * self.n_words,
-                    )
+                    self._launch(kernel, m, k, args)
                     out[start:stop] = self.memory.dtoh(sup_buf)
                 finally:
                     if sup_buf is not None:
@@ -575,6 +587,8 @@ class SimulatedEngine(SupportEngine):
         return out
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
+        from .kernels import extend_kernel, hybrid_extend_kernel
+
         n_base = None if self._prefix_buf is None else self._prefix_buf.shape[0]
         pairs = self._check_batch("extend", pairs, n_base).astype(np.int32)
         n = pairs.shape[0]
@@ -650,23 +664,7 @@ class SimulatedEngine(SupportEngine):
                                 row_buf,
                                 sup_buf,
                             )
-                        result = launch_kernel(
-                            kernel,
-                            LaunchConfig(grid_dim=m, block_dim=self._block_dim()),
-                            args=args,
-                            device=self.device,
-                            trace=self.config.trace_accesses,
-                        )
-                        self.last_trace = result.trace
-                        if result.trace:
-                            self.coalescing_stats.record(analyze_trace(result.trace))
-                        self.kernel_stats.record_launch(
-                            blocks=m,
-                            threads_per_block=result.config.block_dim,
-                            barriers=result.barriers,
-                            candidate_words=m * 2 * n_words,
-                            popcounts=m * n_words,
-                        )
+                        self._launch(kernel, m, 2, args)
                         supports[start:stop] = self.memory.dtoh(sup_buf)
                         if not single:
                             # device-to-device compaction; no PCIe charge
@@ -719,6 +717,8 @@ class SimulatedEngine(SupportEngine):
         """Coalescing analysis of the last traced launch (or None)."""
         if not self.last_trace:
             return None
+        from ..gpusim.coalescing import analyze_trace
+
         return analyze_trace(self.last_trace)
 
 

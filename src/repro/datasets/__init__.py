@@ -24,34 +24,22 @@ The FIMI files are not redistributable here, so this package provides
   pumsb, and accidents matched to the Table 2 statistics.
 """
 
-from .transaction_db import DatabaseStats, TransactionDatabase
-from .io import read_fimi, write_fimi, read_basket_csv
-from .quest import QuestParameters, generate_quest
-from .characterize import DatasetProfile, profile_database, support_histogram
-from .synthetic import (
-    DATASET_REGISTRY,
-    dataset_analog,
-    make_accidents_analog,
-    make_chess_analog,
-    make_pumsb_analog,
-    make_t40i10d100k_analog,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TransactionDatabase",
-    "DatabaseStats",
-    "read_fimi",
-    "write_fimi",
-    "read_basket_csv",
-    "QuestParameters",
-    "generate_quest",
-    "DatasetProfile",
-    "profile_database",
-    "support_histogram",
-    "DATASET_REGISTRY",
-    "dataset_analog",
-    "make_chess_analog",
-    "make_pumsb_analog",
-    "make_accidents_analog",
-    "make_t40i10d100k_analog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".transaction_db": ("TransactionDatabase", "DatabaseStats"),
+        ".io": ("read_fimi", "write_fimi", "read_basket_csv"),
+        ".quest": ("QuestParameters", "generate_quest"),
+        ".characterize": ("DatasetProfile", "profile_database", "support_histogram"),
+        ".synthetic": (
+            "DATASET_REGISTRY",
+            "dataset_analog",
+            "make_chess_analog",
+            "make_pumsb_analog",
+            "make_accidents_analog",
+            "make_t40i10d100k_analog",
+        ),
+    },
+)

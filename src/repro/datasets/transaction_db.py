@@ -24,6 +24,31 @@ from ..errors import DatasetError
 __all__ = ["TransactionDatabase", "DatabaseStats"]
 
 
+def _universe(n_items: int | None, max_item: int) -> int:
+    """The item-universe size for a database whose largest id is
+    ``max_item`` (-1 when empty): ``n_items``, checked, or one past
+    ``max_item`` when it is None."""
+    if n_items is None:
+        return max_item + 1
+    if n_items < 0:
+        raise DatasetError(f"n_items must be >= 0, got {n_items}")
+    if n_items <= max_item:
+        raise DatasetError(
+            f"n_items={n_items} but database contains item id {max_item}"
+        )
+    return int(n_items)
+
+
+def _rises(items: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """One flag per adjacent pair of ``items``: True where the second
+    item is larger than the first or starts a new transaction. All True
+    means every transaction is strictly increasing."""
+    rises = items[1:] > items[:-1]
+    starts = offsets[1:-1]
+    rises[starts[(starts > 0) & (starts < items.size)] - 1] = True
+    return rises
+
+
 @dataclass(frozen=True)
 class DatabaseStats:
     """Summary statistics in the shape of the paper's Table 2."""
@@ -83,15 +108,7 @@ class TransactionDatabase:
             if arr.size:
                 max_item = max(max_item, int(arr[-1]))
             rows.append(arr.astype(np.int32))
-        if n_items is None:
-            n_items = max_item + 1
-        elif n_items <= max_item:
-            raise DatasetError(
-                f"n_items={n_items} but database contains item id {max_item}"
-            )
-        elif n_items < 0:
-            raise DatasetError(f"n_items must be >= 0, got {n_items}")
-        self._n_items = int(n_items)
+        self._n_items = _universe(n_items, max_item)
         lengths = np.fromiter((r.size for r in rows), dtype=np.int64, count=len(rows))
         self._offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._offsets[1:])
@@ -107,15 +124,17 @@ class TransactionDatabase:
 
     @classmethod
     def from_arrays(cls, items: np.ndarray, offsets: np.ndarray, n_items: int) -> "TransactionDatabase":
-        """Build directly from CSR arrays (trusted, used by generators).
+        """Build directly from CSR arrays (the FIMI reader and the store).
 
         ``items`` must already be sorted and deduplicated within each
-        transaction; this is checked cheaply (monotonicity per row is
-        asserted only in slices touched by validation sampling).
+        transaction, and every id must lie in ``[0, n_items)``. Both are
+        checked with whole-array passes, no per-row loop.
         """
         db = cls.__new__(cls)
         items = np.ascontiguousarray(items, dtype=np.int32)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        if n_items < 0:
+            raise DatasetError(f"n_items must be >= 0, got {n_items}")
         if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0:
             raise DatasetError("offsets must be 1-D, non-empty and start at 0")
         if items.ndim != 1 or (offsets[-1] != items.size):
@@ -124,6 +143,10 @@ class TransactionDatabase:
             raise DatasetError("offsets must be non-decreasing")
         if items.size and (items.min() < 0 or items.max() >= n_items):
             raise DatasetError("item ids out of range for n_items")
+        if not _rises(items, offsets).all():
+            raise DatasetError(
+                "items must be strictly increasing within each transaction"
+            )
         db._items = items
         db._offsets = offsets
         db._n_items = int(n_items)

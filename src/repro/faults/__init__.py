@@ -14,28 +14,20 @@ Disabled cost is one module-global read per fault point, held under 2%
 of a clean mine by ``benchmarks/bench_fault_overhead.py``.
 """
 
-from .degrade import record_degradation
-from .injection import (
-    FaultSession,
-    active_session,
-    fault_point,
-    inject,
-    install,
-    uninstall,
-)
-from .plan import FAULT_KINDS, FAULT_SITES, FaultPlan, FaultSpec, parse_fault_spec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FAULT_SITES",
-    "FaultPlan",
-    "FaultSession",
-    "FaultSpec",
-    "active_session",
-    "fault_point",
-    "inject",
-    "install",
-    "parse_fault_spec",
-    "record_degradation",
-    "uninstall",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".degrade": ("record_degradation",),
+        ".injection": (
+            "FaultSession",
+            "active_session",
+            "fault_point",
+            "inject",
+            "install",
+            "uninstall",
+        ),
+        ".plan": ("FAULT_KINDS", "FAULT_SITES", "FaultPlan", "FaultSpec", "parse_fault_spec"),
+    },
+)

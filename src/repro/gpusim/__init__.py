@@ -27,56 +27,26 @@ support kernel through the simulator and comparing against the
 vectorized engine and a horizontal-scan oracle.
 """
 
-from .device import DeviceProperties, TESLA_T10, XEON_E5520
-from .memory import DeviceBuffer, GlobalMemory, SharedMemory, TransferStats
-from .kernel import (
-    SYNCTHREADS,
-    KernelContext,
-    LaunchConfig,
-    LaunchResult,
-    launch_kernel,
-)
-from .coalescing import AccessTrace, CoalescingReport, analyze_trace
-from .reduction import block_reduce_sum
-from .intrinsics import popc
-from .bankconflict import bank_of, conflict_degree, reduction_conflicts
-from .occupancy import OccupancyResult, best_block_size, occupancy
-from .perfmodel import (
-    CpuCostModel,
-    GpuCostModel,
-    KernelCost,
-    TransferCost,
-)
-from .stats import CoalescingStats, KernelStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeviceProperties",
-    "TESLA_T10",
-    "XEON_E5520",
-    "DeviceBuffer",
-    "GlobalMemory",
-    "SharedMemory",
-    "TransferStats",
-    "SYNCTHREADS",
-    "KernelContext",
-    "LaunchConfig",
-    "LaunchResult",
-    "launch_kernel",
-    "AccessTrace",
-    "CoalescingReport",
-    "analyze_trace",
-    "block_reduce_sum",
-    "popc",
-    "bank_of",
-    "conflict_degree",
-    "reduction_conflicts",
-    "OccupancyResult",
-    "occupancy",
-    "best_block_size",
-    "CpuCostModel",
-    "GpuCostModel",
-    "KernelCost",
-    "TransferCost",
-    "KernelStats",
-    "CoalescingStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".device": ("DeviceProperties", "TESLA_T10", "XEON_E5520"),
+        ".memory": ("DeviceBuffer", "GlobalMemory", "SharedMemory", "TransferStats"),
+        ".kernel": (
+            "SYNCTHREADS",
+            "KernelContext",
+            "LaunchConfig",
+            "LaunchResult",
+            "launch_kernel",
+        ),
+        ".coalescing": ("AccessTrace", "CoalescingReport", "analyze_trace"),
+        ".reduction": ("block_reduce_sum",),
+        ".intrinsics": ("popc",),
+        ".bankconflict": ("bank_of", "conflict_degree", "reduction_conflicts"),
+        ".occupancy": ("OccupancyResult", "occupancy", "best_block_size"),
+        ".perfmodel": ("CpuCostModel", "GpuCostModel", "KernelCost", "TransferCost"),
+        ".stats": ("KernelStats", "CoalescingStats"),
+    },
+)

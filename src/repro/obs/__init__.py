@@ -30,67 +30,38 @@ Typical use::
     write_trace(tracer, "run.json", fmt="chrome")
 """
 
-from .export import (
-    TRACE_FORMATS,
-    load_trace,
-    render_ascii,
-    spans_to_dicts,
-    write_chrome_trace,
-    write_jsonl,
-    write_trace,
-)
-from .logging import (
-    JsonLineFormatter,
-    configure_json_logging,
-    get_logger,
-    log_event,
-)
-from .metrics import BUCKET_BOUNDS, HistogramSummary, MetricsRegistry
-from .promexpo import (
-    CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-    render_prometheus,
-)
-from .summary import PhaseStat, aggregate, phase_totals, trace_coverage
-from .tracer import (
-    NOOP_SPAN,
-    NoopSpan,
-    Span,
-    Tracer,
-    current_tracer,
-    current_span,
-    mining_run,
-    span,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "NoopSpan",
-    "NOOP_SPAN",
-    "Tracer",
-    "current_tracer",
-    "current_span",
-    "span",
-    "mining_run",
-    "MetricsRegistry",
-    "HistogramSummary",
-    "BUCKET_BOUNDS",
-    "PROMETHEUS_CONTENT_TYPE",
-    "render_prometheus",
-    "parse_prometheus",
-    "JsonLineFormatter",
-    "configure_json_logging",
-    "get_logger",
-    "log_event",
-    "TRACE_FORMATS",
-    "spans_to_dicts",
-    "write_jsonl",
-    "write_chrome_trace",
-    "render_ascii",
-    "write_trace",
-    "load_trace",
-    "PhaseStat",
-    "aggregate",
-    "phase_totals",
-    "trace_coverage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".tracer": (
+            "Span",
+            "NoopSpan",
+            "NOOP_SPAN",
+            "Tracer",
+            "current_tracer",
+            "current_span",
+            "span",
+            "mining_run",
+        ),
+        ".metrics": ("MetricsRegistry", "HistogramSummary", "BUCKET_BOUNDS"),
+        ".promexpo": ("PROMETHEUS_CONTENT_TYPE", "render_prometheus", "parse_prometheus"),
+        ".logging": (
+            "JsonLineFormatter",
+            "configure_json_logging",
+            "get_logger",
+            "log_event",
+        ),
+        ".export": (
+            "TRACE_FORMATS",
+            "spans_to_dicts",
+            "write_jsonl",
+            "write_chrome_trace",
+            "render_ascii",
+            "write_trace",
+            "load_trace",
+        ),
+        ".summary": ("PhaseStat", "aggregate", "phase_totals", "trace_coverage"),
+    },
+)

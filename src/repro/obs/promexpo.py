@@ -34,6 +34,9 @@ __all__ = ["CONTENT_TYPE", "render_prometheus", "parse_prometheus", "sanitize_na
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 """The Content-Type a compliant ``/metrics`` response must carry."""
 
+PROMETHEUS_CONTENT_TYPE = CONTENT_TYPE
+"""The same, under the name :mod:`repro.obs` exports it as."""
+
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
 

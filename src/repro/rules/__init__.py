@@ -6,19 +6,17 @@ association *rules*; this package derives them from any
 :class:`~repro.core.itemset.MiningResult`.
 """
 
-from .rules import AssociationRule, generate_rules
-from .condense import (
-    closed_itemsets,
-    condensation_ratio,
-    maximal_itemsets,
-    support_from_closed,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AssociationRule",
-    "generate_rules",
-    "closed_itemsets",
-    "maximal_itemsets",
-    "support_from_closed",
-    "condensation_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".rules": ("AssociationRule", "generate_rules"),
+        ".condense": (
+            "closed_itemsets",
+            "maximal_itemsets",
+            "support_from_closed",
+            "condensation_ratio",
+        ),
+    },
+)

@@ -25,28 +25,17 @@ Every stage emits spans and ``service.*`` metrics through
 same way it does batch runs.
 """
 
-from .cache import CachedEntry, ResultCache
-from .flightrec import FlightRecorder, QueryRecord, span_tree
-from .httpd import MiningHTTPServer, make_server
-from .registry import DatasetEntry, DatasetRegistry
-from .retry import RetryPolicy, record_degradation
-from .scheduler import QueryScheduler
-from .service import MiningService, QueryResponse, choose_algorithm
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DatasetEntry",
-    "DatasetRegistry",
-    "CachedEntry",
-    "ResultCache",
-    "QueryScheduler",
-    "RetryPolicy",
-    "record_degradation",
-    "MiningService",
-    "QueryResponse",
-    "choose_algorithm",
-    "MiningHTTPServer",
-    "make_server",
-    "FlightRecorder",
-    "QueryRecord",
-    "span_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".registry": ("DatasetEntry", "DatasetRegistry"),
+        ".cache": ("CachedEntry", "ResultCache"),
+        ".scheduler": ("QueryScheduler",),
+        ".retry": ("RetryPolicy", "record_degradation"),
+        ".service": ("MiningService", "QueryResponse", "choose_algorithm"),
+        ".httpd": ("MiningHTTPServer", "make_server"),
+        ".flightrec": ("FlightRecorder", "QueryRecord", "span_tree"),
+    },
+)

@@ -27,29 +27,22 @@ tier for the mining service:
   signature-valid entries on boot (warm-start serving).
 """
 
-from .format import (
-    ALIGNMENT,
-    FORMAT_VERSION,
-    MAGIC,
-    DatasetArtifact,
-    is_mmap_backed,
-    read_dataset,
-    verify_file,
-    write_dataset,
-)
-from .snapshot import restore_result_cache, snapshot_result_cache
-from .store import ArtifactStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALIGNMENT",
-    "FORMAT_VERSION",
-    "MAGIC",
-    "ArtifactStore",
-    "DatasetArtifact",
-    "is_mmap_backed",
-    "read_dataset",
-    "restore_result_cache",
-    "snapshot_result_cache",
-    "verify_file",
-    "write_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".format": (
+            "ALIGNMENT",
+            "FORMAT_VERSION",
+            "MAGIC",
+            "DatasetArtifact",
+            "is_mmap_backed",
+            "read_dataset",
+            "verify_file",
+            "write_dataset",
+        ),
+        ".store": ("ArtifactStore",),
+        ".snapshot": ("restore_result_cache", "snapshot_result_cache"),
+    },
+)

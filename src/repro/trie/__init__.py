@@ -16,11 +16,12 @@ their right siblings and appending a new leaf layer — the paper's
   for horizontal support counting.
 """
 
-from .level import join_frequent, join_level
-from .hashtrie import HashTrie
+from .._lazy import lazy_exports
 
-__all__ = [
-    "join_frequent",
-    "join_level",
-    "HashTrie",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".level": ("join_frequent", "join_level"),
+        ".hashtrie": ("HashTrie",),
+    },
+)

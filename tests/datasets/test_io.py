@@ -36,6 +36,39 @@ class TestReadFimi:
         with pytest.raises(DatasetError, match="negative"):
             read_fimi(io.StringIO("1 -2\n"))
 
+    @pytest.mark.parametrize("big", ["2147483648", "2147483653", "99999999999999999999"])
+    def test_item_id_past_int32_names_its_line(self, big):
+        """Ids are stored as int32: a wider one must not wrap silently
+        (or escape as an OverflowError past int64)."""
+        with pytest.raises(DatasetError, match=f"line 2: item id {big} exceeds"):
+            read_fimi(io.StringIO(f"1\n1 {big}\n"))
+
+    def test_largest_int32_id_accepted(self):
+        db = read_fimi(io.StringIO("1 2147483647\n"))
+        assert db.n_items == 2**31
+        assert db[0].tolist() == [1, 2**31 - 1]
+
+    def test_line_ends(self):
+        """\\n, \\r\\n and a bare \\r each end one line."""
+        db = read_fimi(io.StringIO("1 2\r3\r\n\r\n4"))
+        assert [row.tolist() for row in db] == [[1, 2], [3], [], [4]]
+
+    def test_rows_sorted_and_deduplicated(self):
+        db = read_fimi(io.StringIO("3 1 3\n2 2\n"))
+        assert [row.tolist() for row in db] == [[1, 3], [2]]
+
+    def test_blank_only_input(self):
+        assert len(read_fimi(io.StringIO(""))) == 0
+        db = read_fimi(io.StringIO(" \t\n"))
+        assert len(db) == 1 and db.n_items == 0
+
+    @pytest.mark.parametrize(
+        "stream", [io.BytesIO(b"1 2\n\xe9 3\n"), io.StringIO("1 2\n\u00e9 3\n")]
+    )
+    def test_non_ascii_stream_unreadable(self, stream):
+        with pytest.raises(DatasetError, match="cannot read FIMI file '<stream>'"):
+            read_fimi(stream)
+
     def test_explicit_n_items(self):
         db = read_fimi(io.StringIO("1 2\n"), n_items=50)
         assert db.n_items == 50
@@ -82,6 +115,15 @@ class TestWriteFimi:
         p = tmp_path / "out.dat"
         write_fimi(small_db, p)
         assert read_fimi(p, n_items=small_db.n_items) == small_db
+
+    def test_roundtrip_trailing_empty_transactions(self, tmp_path):
+        """A blank last line is a transaction, not a phantom line."""
+        db = TransactionDatabase([[1, 2], [], [3], []])
+        p = tmp_path / "out.dat"
+        write_fimi(db, p)
+        back = read_fimi(p, n_items=db.n_items)
+        assert len(back) == 4
+        assert back == db
 
     def test_format_is_space_separated(self):
         db = TransactionDatabase([[1, 2, 3]])

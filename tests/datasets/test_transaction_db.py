@@ -39,6 +39,10 @@ class TestConstruction:
         with pytest.raises(DatasetError, match="contains item id"):
             TransactionDatabase([[5]], n_items=3)
 
+    def test_negative_n_items_rejected_first(self):
+        with pytest.raises(DatasetError, match="n_items must be >= 0, got -1"):
+            TransactionDatabase([], n_items=-1)
+
     def test_negative_item_rejected(self):
         with pytest.raises(DatasetError, match=">= 0"):
             TransactionDatabase([[-1, 2]])
@@ -72,6 +76,28 @@ class TestConstruction:
                 np.array([0, 1], dtype=np.int64),
                 4,
             )
+
+
+    def test_from_arrays_negative_n_items(self):
+        with pytest.raises(DatasetError, match="n_items must be >= 0"):
+            TransactionDatabase.from_arrays(
+                np.empty(0, dtype=np.int32), np.array([0], dtype=np.int64), -5
+            )
+
+    @pytest.mark.parametrize("row", [[2, 1], [1, 1], [0, 3, 3]])
+    def test_from_arrays_row_not_strictly_increasing(self, row):
+        with pytest.raises(DatasetError, match="strictly increasing"):
+            TransactionDatabase.from_arrays(
+                np.array(row, dtype=np.int32), np.array([0, len(row)], dtype=np.int64), 4
+            )
+
+    def test_from_arrays_rows_may_step_down_between_rows(self):
+        db = TransactionDatabase.from_arrays(
+            np.array([2, 3, 1, 1], dtype=np.int32),
+            np.array([0, 2, 2, 3, 4], dtype=np.int64),
+            4,
+        )
+        assert [row.tolist() for row in db] == [[2, 3], [], [1], [1]]
 
 
 class TestAccess:

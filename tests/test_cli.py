@@ -81,6 +81,14 @@ class TestMineCommand:
         assert err.startswith("error: cannot read FIMI file")
         assert "Traceback" not in err
 
+    def test_item_id_past_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.dat"
+        path.write_text("1 2\n1 99999999999999999999\n")
+        assert main(["mine", "--file", str(path), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: item id")
+        assert "Traceback" not in err
+
     def test_inject_fault_surfaces_typed_error(self, fimi_file, capsys):
         code = main(
             [
