@@ -7,7 +7,8 @@ all implemented in this reproduction:
 1. **Hybrid CPU+GPU** — split every generation between the host CPU
    and the GPU so both finish together (`repro.core.balance`).
 2. **Multi-GPU** — partition candidate buffers over the S1070's four
-   T10s (`mine(..., engine="multigpu", devices=n)`, `repro.core.fleet`).
+   T10s (`mine(..., engine="multigpu", devices=n)`,
+   `repro.core.partitioned`).
 3. **GPU Eclat** — depth-first equivalence-class mining, each class one
    extend-kernel batch (`repro.core.gpu_eclat`).
 

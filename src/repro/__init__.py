@@ -31,8 +31,8 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(
     {
         ".core.api": ("mine", "ALGORITHMS"),
         ".core.config": ("GPAprioriConfig",),
-        ".core.sharding": ("ShardPlan", "ShardedEngine"),
-        ".core.fleet": ("FleetEngine", "FleetPlan"),
+        ".core.sharding": ("ShardPlan",),
+        ".core.partitioned": ("ShardedEngine", "FleetEngine"),
         ".core.gpapriori": ("gpapriori_mine",),
         ".core.gpu_eclat": ("gpu_eclat_mine",),
         ".core.balance": ("hybrid_mine", "StaticBalancer", "ModelBalancer"),

@@ -15,10 +15,14 @@
 * :mod:`~repro.core.parallel` — the third engine: ``parallel``, the
   vectorized arithmetic sharded over a worker-process pool reading the
   bitsets from shared memory.
-* :mod:`~repro.core.sharding` — out-of-core tid-range sharding: a
+* :mod:`~repro.core.sharding` — out-of-core tid-range shard plans: a
   :class:`~repro.core.sharding.ShardPlan` sized from a device-memory
-  budget and the :class:`~repro.core.sharding.ShardedEngine` that
-  streams shards through any of the three engines.
+  budget, and :func:`~repro.core.sharding.slice_matrix`.
+* :mod:`~repro.core.partitioned` — engines of member engines whose
+  supports add: :class:`~repro.core.partitioned.ShardedEngine` streams
+  tid-range shards through any of the three engines, and
+  :class:`~repro.core.partitioned.FleetEngine` (``engine="multigpu"``)
+  splits each generation's candidates over N simulated T10s.
 * :mod:`~repro.core.gpapriori` — the host-side mining driver.
 * :mod:`~repro.core.balance` — the load-balanced CPU+GPU miner
   (``algorithm="hybrid"``; unrelated to the hybrid *layout*).
@@ -35,8 +39,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".plans": ("CompleteIntersectionPlan", "EquivalenceClassPlan", "make_plan"),
         ".support": ("VectorizedEngine", "SimulatedEngine", "make_engine"),
         ".parallel": ("ParallelEngine",),
-        ".sharding": ("Shard", "ShardPlan", "ShardedEngine", "slice_matrix"),
-        ".fleet": ("FleetEngine", "FleetPlan"),
+        ".sharding": ("Shard", "ShardPlan", "slice_matrix"),
+        ".partitioned": ("ShardedEngine", "FleetEngine"),
         ".gpapriori": ("gpapriori_mine",),
         ".balance": ("StaticBalancer", "ModelBalancer", "hybrid_mine"),
         ".gpu_eclat": ("gpu_eclat_mine",),

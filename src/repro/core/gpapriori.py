@@ -102,7 +102,7 @@ def gpapriori_mine(
 
         run_attrs["workers"] = resolve_workers(config.workers)
     if config.engine == "multigpu":
-        from .fleet import resolve_devices
+        from .partitioned import resolve_devices
 
         run_attrs["devices"] = resolve_devices(config.devices)
     if config.sharded:

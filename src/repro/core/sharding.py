@@ -1,53 +1,33 @@
-"""Out-of-core tid-range sharding: mine databases larger than device DRAM.
+"""Tid-range shard plans: split a table larger than device DRAM.
 
 The paper's design keeps every generation-1 bitset resident in device
 memory (Section IV, Fig. 4), which caps the minable database at the
 T10's 4 GB. The classic way out — Savasere's Partition and Grahne &
 Zhu's secondary-memory miner — is to split the *transaction* axis,
 stream the pieces through the device, and merge partial results.
-Supports make this exact and trivial to merge: the tid ranges are
-disjoint, so a candidate's global support is the **sum** of its
-per-shard popcounts, bit-identically equal to the unsharded count.
-
-Two pieces:
 
 * :class:`ShardPlan` — splits ``[0, n_transactions)`` into word-aligned
   shards, either an explicit count (``shards=``) or sized so two shard
   slabs (double buffering) fit a device-memory budget
   (``memory_budget_bytes=``).
-* :class:`ShardedEngine` — wraps one inner
-  :class:`~repro.core.support.SupportEngine` **per shard** (vectorized,
-  simulated, or parallel — whatever ``config.engine`` names), slices
-  the :class:`~repro.bitset.bitset.BitsetMatrix` per shard, streams
-  each generation's candidate buffer through every shard, and sums the
-  partial supports. Per-generation slab re-streaming is priced with
-  double-buffered host→device transfers: shard ``i+1`` uploads while
-  shard ``i``'s kernel runs, so only the *exposed* (un-hidden) transfer
-  time is charged.
+* :func:`slice_matrix` — one shard's column slice of a
+  :class:`~repro.bitset.bitset.BitsetMatrix`.
 
-Simulated inner engines allocate from a global memory capped at the
-budget, so a shard whose working set would overflow the configured
-device still raises :class:`~repro.errors.DeviceMemoryError` — the
-budget is enforced, not just modeled.
+The engine that streams the shards and sums their supports is
+:class:`~repro.core.partitioned.ShardedEngine`; the service's dataset
+registry plans shards here without loading any engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..bitset.bitset import WORD_BITS, WORDS_PER_ALIGN, BitsetMatrix, words_for
 from ..bitset.hybrid import HybridLayout
 from ..errors import ConfigError, DeviceMemoryError
-from ..gpusim.device import TESLA_T10, DeviceProperties
-from ..obs import span
-from .config import GPAprioriConfig
-from .itemset import RunMetrics
-from .support import SupportEngine, price_batch
 
-__all__ = ["Shard", "ShardPlan", "ShardedEngine", "slice_matrix"]
+__all__ = ["Shard", "ShardPlan", "slice_matrix"]
 
 DOUBLE_BUFFER = 2
 """Shard slabs resident at once: one computing, one uploading."""
@@ -303,236 +283,3 @@ def slice_matrix(matrix: BitsetMatrix, shard: Shard) -> BitsetMatrix:
     """
     words = matrix.words[:, shard.word_start : shard.word_stop]
     return BitsetMatrix(words, shard.n_transactions)
-
-
-class ShardedEngine(SupportEngine):
-    """Run any inner engine shard-by-shard and sum partial supports.
-
-    One inner engine per shard persists across generations, so the
-    equivalence-class plan's per-shard prefix caches survive between
-    :meth:`count_extend`/:meth:`retain` rounds exactly as the unsharded
-    cache would. ``retain`` broadcasts the same surviving indices to
-    every shard (candidate order is global), keeping the shard caches
-    in lockstep.
-
-    Modeled accounting: inner engines charge their own per-shard
-    transfer/kernel costs (which sum to the unsharded totals for the
-    kernel, and scale with the shard count for the per-generation
-    candidate/support hops — the genuine out-of-core overhead). On top
-    of that, every counting round after the first re-streams each
-    shard's slab to the device; the double-buffered pipeline hides
-    transfer behind compute and only the exposed remainder is charged
-    as ``htod_shard_stream``.
-    """
-
-    def __init__(
-        self,
-        config: GPAprioriConfig,
-        metrics: RunMetrics,
-        device: DeviceProperties = TESLA_T10,
-    ) -> None:
-        super().__init__(config, metrics, device)
-        budget = config.memory_budget_bytes
-        if budget is not None:
-            budget = min(budget, device.global_mem_bytes)
-        self.budget = budget
-        # Inner engines must not re-shard, and simulated ones allocate
-        # from a global memory capped at the budget so overflowing it
-        # fails the same way a too-small real device would.
-        self._inner_config = config.with_(shards=0, memory_budget_bytes=None)
-        self._inner_device = (
-            replace(device, global_mem_bytes=budget) if budget is not None else device
-        )
-        self.plan: Optional[ShardPlan] = None
-        self.engines: List[SupportEngine] = []
-        self._shard_layouts: List[HybridLayout] = []
-        self._rounds = 0
-        # extend bases are raw item ids until the first retain()
-        self._gen1_base = True
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def setup(
-        self,
-        matrix: Optional[BitsetMatrix],
-        hybrid: Optional[HybridLayout] = None,
-    ) -> None:
-        """Plan the shards and install one sliced matrix/layout per shard.
-
-        Each inner ``setup`` charges its own slab's host→device copy,
-        so the summed ``htod_bitsets`` charge equals the unsharded
-        full-table upload. Under a hybrid layout only the dense block
-        is shard-planned; every shard's slice carries the tid-lists
-        that fall inside its tid range, rebased so per-shard supports
-        stay additive.
-        """
-        from .support import _make_base_engine
-
-        self._matrix = matrix
-        self._hybrid = hybrid
-        if hybrid is not None:
-            self.plan = ShardPlan.for_layout(
-                hybrid, shards=self.config.shards, memory_budget_bytes=self.budget
-            )
-        else:
-            if matrix is None:
-                from ..errors import MiningError
-
-                raise MiningError("engine.setup() needs a matrix or a hybrid layout")
-            self.plan = ShardPlan.for_matrix(
-                matrix, shards=self.config.shards, memory_budget_bytes=self.budget
-            )
-        n = self.plan.n_shards
-        with span(
-            "transfer",
-            kind="shard_install",
-            shards=n,
-            slab_bytes=self.plan.slab_bytes,
-            total_bytes=self.plan.total_bytes,
-        ):
-            for shard in self.plan.shards:
-                engine = _make_base_engine(
-                    self._inner_config, self.metrics, self._inner_device
-                )
-                # merge rather than assign: a fleet-owned sharded
-                # engine tags its launches with the device id too
-                engine.span_attrs = {
-                    **self.span_attrs,
-                    "shard": shard.index,
-                    "shards": n,
-                }
-                if hybrid is not None:
-                    sub_layout = hybrid.slice_shard(shard)
-                    with span(
-                        "transfer",
-                        kind="shard_slab",
-                        shard=shard.index,
-                        tid_start=shard.tid_start,
-                        tid_stop=shard.tid_stop,
-                        bytes=sub_layout.device_bytes,
-                    ):
-                        engine.setup(None, hybrid=sub_layout)
-                    self._shard_layouts.append(sub_layout)
-                else:
-                    sub = slice_matrix(matrix, shard)
-                    with span(
-                        "transfer",
-                        kind="shard_slab",
-                        shard=shard.index,
-                        tid_start=shard.tid_start,
-                        tid_stop=shard.tid_stop,
-                        bytes=sub.nbytes,
-                    ):
-                        engine.setup(sub)
-                self.engines.append(engine)
-        reg = self.metrics.registry
-        reg.set_gauge("shard.count", n)
-        reg.set_gauge("shard.slab_bytes", self.plan.slab_bytes)
-        self.metrics.add_counter("shard.bytes_installed", self.plan.total_bytes)
-
-    def finalize(self) -> None:
-        """Finalize every inner engine (their stats are additive)."""
-        for engine in self.engines:
-            engine.finalize()
-
-    # -- double-buffered slab streaming ------------------------------------------
-
-    def _charge_stream(
-        self,
-        kind: str,
-        n: int,
-        k: int,
-        items: np.ndarray,
-        base: Optional[np.ndarray] = None,
-    ) -> None:
-        """Price this round's slab re-streaming, double-buffered.
-
-        The first counting round reuses the slabs :meth:`setup` just
-        installed; later rounds must bring every slab back (only
-        ``DOUBLE_BUFFER`` of them fit the budget at once). Upload of
-        shard ``i+1`` overlaps the kernel on shard ``i``, so the charge
-        is the first slab's transfer plus whatever later transfers the
-        kernels fail to hide. Each shard's kernel is the
-        :func:`~repro.core.support.price_batch` of this batch over the
-        shard's slice, which is what its inner engine charges; the
-        ``shard_stream`` span records them.
-        """
-        self._rounds += 1
-        if self.plan is None or self.plan.n_shards < 2 or self._rounds == 1:
-            return
-        shards = self.plan.shards
-        n_items = self.plan.n_items
-        transfers = [
-            self.cost.transfer_time(s.slab_bytes(n_items)).seconds for s in shards
-        ]
-        if self.plan.double_buffered:
-            layouts = self._shard_layouts or [None] * len(shards)
-            kernels = [
-                price_batch(
-                    kind, n, k, s.n_words, self.cost, self.config, lay, items, base
-                ).kernel
-                for s, lay in zip(shards, layouts)
-            ]
-            exposed = transfers[0] + sum(
-                max(0.0, t - kern) for t, kern in zip(transfers[1:], kernels[:-1])
-            )
-        else:
-            kernels = []
-            exposed = sum(transfers)  # one slab resident: nothing overlaps
-        hidden = sum(transfers) - exposed
-        stream_bytes = self.plan.total_bytes
-        with span(
-            "transfer",
-            kind="shard_stream",
-            shards=len(shards),
-            round=self._rounds,
-            bytes=stream_bytes,
-        ) as sp:
-            self.metrics.add_modeled("htod_shard_stream", exposed)
-            self.metrics.add_counter("shard.stream_bytes", stream_bytes)
-            self.metrics.add_counter("shard.stream_rounds", 1)
-            self.metrics.registry.observe("shard.stream_hidden_seconds", hidden)
-            sp.set(
-                modeled_exposed_seconds=exposed,
-                modeled_hidden_seconds=hidden,
-                modeled_shard_kernel_seconds=kernels,
-            )
-
-    # -- counting ----------------------------------------------------------------
-
-    def _require_engines(self) -> List[SupportEngine]:
-        if not self.engines:
-            from ..errors import MiningError
-
-            raise MiningError("engine.setup(matrix) must be called before counting")
-        return self.engines
-
-    def count_complete(self, candidates: np.ndarray) -> np.ndarray:
-        engines = self._require_engines()
-        candidates = np.asarray(candidates)
-        n, k = candidates.shape
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        self._charge_stream("complete", n, k, candidates)
-        total = np.zeros(n, dtype=np.int64)
-        for engine in engines:
-            total += engine.count_complete(candidates)
-        return total
-
-    def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        engines = self._require_engines()
-        pairs = np.asarray(pairs)
-        n = pairs.shape[0]
-        items, base = pairs, None
-        if n:
-            items, base = pairs[:, 1], pairs[:, 0] if self._gen1_base else None
-        self._charge_stream("extend", n, 2, items, base)
-        total = np.zeros(n, dtype=np.int64)
-        for engine in engines:
-            total += engine.count_extend(pairs)
-        return total
-
-    def retain(self, indices: np.ndarray) -> None:
-        for engine in self._require_engines():
-            engine.retain(indices)
-        self._gen1_base = False

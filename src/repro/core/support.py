@@ -185,8 +185,8 @@ class SupportEngine:
         self._matrix: Optional[BitsetMatrix] = None
         self._hybrid: Optional[HybridLayout] = None
         # Extra attributes merged into every kernel_launch span. The
-        # sharding layer uses this to tag each inner engine's launches
-        # with its tid-range shard.
+        # partitioned engines use this to tag each member's launches
+        # with its tid-range shard or its device.
         self.span_attrs: dict = {}
 
     # -- common bookkeeping -----------------------------------------------------
@@ -722,12 +722,28 @@ class SimulatedEngine(SupportEngine):
         return analyze_trace(self.last_trace)
 
 
-def _make_base_engine(
+def make_engine(
     config: GPAprioriConfig,
     metrics: RunMetrics,
     device: DeviceProperties = TESLA_T10,
 ) -> SupportEngine:
-    """Instantiate the unsharded engine named by ``config.engine``."""
+    """Instantiate the engine named by ``config.engine``.
+
+    A sharded config (``shards > 1`` or a ``memory_budget_bytes``)
+    wraps the named engine in a
+    :class:`~repro.core.partitioned.ShardedEngine` that streams
+    tid-range shards of the bitset matrix through it.
+    ``engine="multigpu"`` dispatches first: the fleet builds its
+    members here too, so a sharded fleet config makes every device a
+    ShardedEngine rather than one host-level ShardedEngine around the
+    fleet.
+    """
+    if config.engine == "multigpu" or config.sharded:
+        # imported lazily: partitioned.py builds on this module
+        from .partitioned import FleetEngine, ShardedEngine
+
+        wrapper = FleetEngine if config.engine == "multigpu" else ShardedEngine
+        return wrapper(config, metrics, device)
     if config.engine == "vectorized":
         return VectorizedEngine(config, metrics, device)
     if config.engine == "simulated":
@@ -738,31 +754,3 @@ def _make_base_engine(
 
         return ParallelEngine(config, metrics, device)
     raise ConfigError(f"unknown engine {config.engine!r}")
-
-
-def make_engine(
-    config: GPAprioriConfig,
-    metrics: RunMetrics,
-    device: DeviceProperties = TESLA_T10,
-) -> SupportEngine:
-    """Instantiate the engine named by ``config.engine``.
-
-    A sharded config (``shards > 1`` or a ``memory_budget_bytes``)
-    wraps the named engine in a
-    :class:`~repro.core.sharding.ShardedEngine` that streams tid-range
-    shards of the bitset matrix through it. ``engine="multigpu"``
-    dispatches first: the fleet engine composes sharding *per device*
-    (each replica streams the same shard plan), so it must not be
-    wrapped in a host-level ShardedEngine.
-    """
-    if config.engine == "multigpu":
-        # imported lazily: fleet.py builds on this module
-        from .fleet import FleetEngine
-
-        return FleetEngine(config, metrics, device)
-    if config.sharded:
-        # imported lazily: sharding.py builds on this module
-        from .sharding import ShardedEngine
-
-        return ShardedEngine(config, metrics, device)
-    return _make_base_engine(config, metrics, device)

@@ -241,8 +241,6 @@ def read_basket_csv(
     finally:
         if should_close:
             stream.close()
-    if rows and not rows[-1]:
-        rows.pop()
     names = [""] * len(name_to_id)
     for label, idx in name_to_id.items():
         names[idx] = label

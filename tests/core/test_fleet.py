@@ -1,17 +1,17 @@
 """Unit tests for the multi-GPU fleet engine (engine="multigpu").
 
 The equivalence sweeps live in the property suites; these tests pin
-the fleet-specific machinery — configuration validation, the
-FleetPlan, metrics/gauges, and the fault-degradation path where a dead
-device's candidate block is repartitioned onto the surviving fleet.
+the fleet-specific machinery — configuration validation, the replica
+and shard plan, metrics/gauges, and the fault-degradation path where a
+dead device's candidate block is repartitioned onto the surviving fleet.
 """
 
 import numpy as np
 import pytest
 
 from repro import GPAprioriConfig, gpapriori_mine, mine
-from repro.core.fleet import DEFAULT_DEVICES, FleetEngine, resolve_devices
 from repro.core.itemset import RunMetrics
+from repro.core.partitioned import DEFAULT_DEVICES, FleetEngine, resolve_devices
 from repro.core.support import make_engine
 from repro.datasets import TransactionDatabase
 from repro.errors import ConfigError, DeviceMemoryError, MiningError
@@ -82,13 +82,12 @@ class TestFleetPlan:
         )
         from repro.bitset import BitsetMatrix
 
-        engine.setup(BitsetMatrix.from_database(fleet_db))
+        matrix = BitsetMatrix.from_database(fleet_db)
+        engine.setup(matrix)
         try:
-            plan = engine.plan
-            assert not plan.sharded
-            d = plan.as_dict()
-            assert d["n_devices"] == 2
-            assert d["fleet_bytes"] == 2 * d["replica_bytes"]
+            assert engine.shard_plan is None
+            assert engine.n_devices == 2
+            assert engine.metrics.registry.gauge("fleet.replica_bytes") == matrix.nbytes
         finally:
             engine.finalize()
 
@@ -110,9 +109,9 @@ class TestFleetPlan:
         )
         engine.setup(matrix)
         try:
-            assert engine.plan.sharded
-            assert engine.plan.shard_plan.n_shards > 1
-            assert "shard_plan" in engine.plan.as_dict()
+            assert engine.shard_plan.n_shards > 1
+            reg = engine.metrics.registry
+            assert reg.gauge("fleet.shards_per_device") == engine.shard_plan.n_shards
         finally:
             engine.finalize()
 

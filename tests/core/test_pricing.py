@@ -147,6 +147,6 @@ class TestFleetReadsMemberShardPlan:
         cfg = GPAprioriConfig(engine="multigpu", devices=2, shards=2)
         engine = make_engine(cfg, RunMetrics())
         engine.setup(BitsetMatrix.from_database(skewed_db, aligned=True))
-        assert engine.plan.shard_plan is engine.engines[0].plan
-        assert all(m.plan == engine.plan.shard_plan for m in engine.engines)
-        assert engine.plan.shard_plan.n_shards == 2
+        assert engine.shard_plan is engine.engines[0].plan
+        assert all(m.plan == engine.shard_plan for m in engine.engines)
+        assert engine.shard_plan.n_shards == 2

@@ -7,12 +7,8 @@ from repro.bitset import BitsetMatrix
 from repro.core.config import GPAprioriConfig
 from repro.core.gpapriori import gpapriori_mine
 from repro.core.itemset import RunMetrics
-from repro.core.sharding import (
-    Shard,
-    ShardPlan,
-    ShardedEngine,
-    slice_matrix,
-)
+from repro.core.partitioned import ShardedEngine
+from repro.core.sharding import Shard, ShardPlan, slice_matrix
 from repro.core.support import make_engine
 from repro.errors import ConfigError, DeviceMemoryError, MiningError
 

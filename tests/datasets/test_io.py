@@ -160,3 +160,11 @@ class TestReadBasketCsv:
     def test_custom_delimiter(self):
         db, names = read_basket_csv(io.StringIO("a;b\n"), delimiter=";")
         assert names == ["a", "b"]
+
+    def test_trailing_blank_line_is_an_empty_basket(self):
+        db, _ = read_basket_csv(io.StringIO("a,b\n\nc\n\n"))
+        assert [row.tolist() for row in db] == [[0, 1], [], [2], []]
+
+    def test_final_newline_ends_the_last_basket(self):
+        db, _ = read_basket_csv(io.StringIO("a,b\n"))
+        assert len(db) == 1

@@ -44,7 +44,7 @@ NOT_ON_MINE_PATH = [
     "repro.core.kernels",
     "repro.core.parallel",
     "repro.core.sharding",
-    "repro.core.fleet",
+    "repro.core.partitioned",
     "repro.core.balance",
     "repro.core.gpu_eclat",
     "numpy.ma",
