@@ -19,7 +19,7 @@ reference, at most ``distinct items × n_words × 4`` bytes (about 2.3 MB
 on the T40I10D100K analog at scale 0.5), built once per batch. Each
 group then counts on the one counting core,
 :func:`~repro.bitset.ops.support_words`, wherever the engine runs it:
-in process, or on the parallel engine's workers. The simulated engine
+in process, or on the parallel engine's threads. The simulated engine
 keeps the genuine mixed-mode device kernels in :mod:`repro.core.kernels`,
 where each thread probes a sparse member's tid-list for the word it ANDs.
 

@@ -81,8 +81,7 @@ def tile_bounds(
     The tile size is the largest count whose gathered ``(tile,
     row_bytes)`` block stays within ``budget_bytes`` — the cache-bound
     batching :func:`support_many` has always used — optionally split
-    further so at least ``min_tiles`` non-empty tiles come back (the
-    parallel engine's per-worker sharding reuses this exact math).
+    further so at least ``min_tiles`` non-empty tiles come back.
     """
     if n <= 0:
         return []
@@ -136,11 +135,10 @@ def support_words(
     reads ``words`` (see :func:`and_rows`). Every engine counts through
     it: the vectorized engine in process, the hybrid layout over the
     tables :func:`~repro.bitset.hybrid.hybrid_tables` resolves, and the
-    parallel engine's workers over the same tables mapped from
-    :mod:`multiprocessing.shared_memory`, so identical inputs give
-    bit-identical supports on every path. C-contiguous tables of even
-    width are read as ``uint64`` words, halving the element count of
-    each AND and popcount.
+    parallel engine's threads over blocks of candidates on the same
+    tables, so identical inputs give bit-identical supports on every
+    path. C-contiguous tables of even width are read as ``uint64``
+    words, halving the element count of each AND and popcount.
     """
     n = candidates.shape[0]
     out = np.empty(n, dtype=np.int64)

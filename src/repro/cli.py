@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --engine parallel (0 = auto-size)",
+        help="counting threads for --engine parallel, the caller "
+        "included (0 = auto-size)",
     )
     p_mine.add_argument(
         "--devices",
@@ -191,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SITE:KIND[:OPTS]",
         help="inject a deterministic fault, e.g. "
         "gpusim.alloc:device_oom:on_nth=1,max_fires=1 (repeatable; "
-        "sites: gpusim.alloc/htod/dtoh/launch, parallel.submit, "
-        "fleet.submit, scheduler.worker)",
+        "sites: gpusim.alloc/htod/dtoh/launch, parallel.submit (the "
+        "thread-pool submit), fleet.submit, scheduler.worker)",
     )
     p_mine.add_argument(
         "--fault-seed",

@@ -13,8 +13,8 @@
   (kernel-faithful, for validation), and ``price_batch``, the one
   modeled price of a counting batch.
 * :mod:`~repro.core.parallel` — the third engine: ``parallel``, the
-  vectorized arithmetic sharded over a worker-process pool reading the
-  bitsets from shared memory.
+  vectorized arithmetic split over the calling thread and a thread
+  pool reading the one bitset table.
 * :mod:`~repro.core.sharding` — out-of-core tid-range shard plans: a
   :class:`~repro.core.sharding.ShardPlan` sized from a device-memory
   budget, and :func:`~repro.core.sharding.slice_matrix`.

@@ -51,10 +51,10 @@ class GPAprioriConfig:
         ``"vectorized"`` — NumPy host execution of the same arithmetic.
         ``"simulated"`` — run the real kernel on :mod:`repro.gpusim`
         thread-by-thread (slow; for validation and access traces).
-        ``"parallel"`` — the vectorized arithmetic fanned out over a
-        pool of worker processes reading the bitset table from
-        :mod:`multiprocessing.shared_memory` (host-side data
-        parallelism standing in for the GPU's).
+        ``"parallel"`` — the vectorized arithmetic fanned out over the
+        calling thread plus a thread pool, all reading the one bitset
+        table in place (host-side data parallelism standing in for
+        the GPU's).
         ``"multigpu"`` — a fleet of simulated devices each holding a
         full replica of the vertical table, with every generation's
         candidate buffer block-partitioned across them (the paper's
@@ -62,9 +62,10 @@ class GPAprioriConfig:
         ``plan="complete"``: candidate partitions cannot share the
         equivalence-class prefix cache across devices.
     workers:
-        Worker-process count for the parallel engine. ``0`` (the
-        default) sizes the pool to the host's usable cores (capped at
-        8); ``1`` runs in-process. Ignored by the other engines.
+        Counting-thread count for the parallel engine, the calling
+        thread included. ``0`` (the default) sizes it to the host's
+        usable cores (capped at 8); ``1`` runs in-process. Ignored by
+        the other engines.
     devices:
         Device count for the multigpu fleet engine. ``0`` (the
         default) means the full testbed — four T10s, the paper's

@@ -176,30 +176,34 @@ def gpapriori_mine(
                     bytes=matrix.nbytes,
                 )
         engine = make_engine(config, metrics, device)
-        if layout is not None:
-            reg = metrics.registry
-            reg.set_gauge("layout.dense_items", layout.n_dense)
-            reg.set_gauge("layout.sparse_items", layout.n_sparse)
-            reg.set_gauge("layout.device_bytes", layout.device_bytes)
-            reg.set_gauge("layout.bytes_saved", layout.bytes_saved)
-        install_bytes = layout.device_bytes if layout is not None else matrix.nbytes
-        with span("install", bytes=install_bytes):
+        # the engine may hold threads: release them on every exit path,
+        # also when a caller keeps the exception (and its traceback)
+        try:
             if layout is not None:
-                engine.setup(None, hybrid=layout)
-            else:
-                engine.setup(matrix)
-        plan = make_plan(config.plan)
+                reg = metrics.registry
+                reg.set_gauge("layout.dense_items", layout.n_dense)
+                reg.set_gauge("layout.sparse_items", layout.n_sparse)
+                reg.set_gauge("layout.device_bytes", layout.device_bytes)
+                reg.set_gauge("layout.bytes_saved", layout.bytes_saved)
+            install_bytes = layout.device_bytes if layout is not None else matrix.nbytes
+            with span("install", bytes=install_bytes):
+                if layout is not None:
+                    engine.setup(None, hybrid=layout)
+                else:
+                    engine.setup(matrix)
+            plan = make_plan(config.plan)
 
-        found = levelwise(
-            db.n_items,
-            min_count,
-            partial(plan.count, engine),
-            metrics,
-            max_k,
-            retain=partial(plan.after_prune, engine),
-        )
-
-        engine.finalize()
+            found = levelwise(
+                db.n_items,
+                min_count,
+                partial(plan.count, engine),
+                metrics,
+                max_k,
+                retain=partial(plan.after_prune, engine),
+            )
+            engine.finalize()
+        finally:
+            engine.close()
 
     return MiningResult(
         itemsets=found,

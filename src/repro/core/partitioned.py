@@ -106,6 +106,10 @@ class PartitionedEngine(SupportEngine):
         for engine in self.engines:
             engine.finalize()
 
+    def close(self) -> None:
+        for engine in self.engines:
+            engine.close()
+
     def _members(self) -> List[SupportEngine]:
         if not self.engines:
             raise MiningError("engine.setup(matrix) must be called before counting")

@@ -6,8 +6,8 @@ groups (the hybrid layout through
 through one executor hook, ``_count``, whose body is
 :func:`~repro.bitset.ops.support_words`. The third engine,
 :class:`~repro.core.parallel.ParallelEngine`, is a subclass that only
-overrides that hook to run it on a pool of worker processes reading
-the tables from shared memory. :meth:`SupportEngine._check_batch`
+overrides that hook to run it on the calling thread plus a thread
+pool, all reading the same tables. :meth:`SupportEngine._check_batch`
 validates every batch, the same way on every engine, before any work.
 
 All engines expose the same three operations the mining driver needs:
@@ -241,6 +241,9 @@ class SupportEngine:
         """Publish accumulated kernel stats into the metric registry."""
         self.kernel_stats.publish(self.metrics.registry)
 
+    def close(self) -> None:
+        """Release host resources (threads); idempotent, and a no-op here."""
+
     def _check_batch(
         self, kind: str, batch: np.ndarray, n_base: Optional[int] = None
     ) -> np.ndarray:
@@ -320,7 +323,7 @@ class VectorizedEngine(SupportEngine):
     Every count resolves the batch's ids to ``(table, rows)`` groups
     and hands each group to :meth:`_count`, the one executor hook. In
     process it is :func:`~repro.bitset.ops.support_words`; the parallel
-    engine overrides it to run the same call on a worker pool.
+    engine overrides it to run the same call over a thread pool.
     """
 
     name = "vectorized"

@@ -2,11 +2,11 @@
 
 Every place the system falls back to a weaker-but-safer strategy —
 ``MiningService`` re-mining under a halved, sharded memory budget after
-a device OOM, ``ParallelEngine`` abandoning a dead fork pool for the
-in-process path — funnels through :func:`record_degradation` so the
-three evidence channels always agree: a ``service.degraded.*`` metric,
-a structured ``service.degraded`` log event, and a span the flight
-recorder keeps with the query that degraded.
+a device OOM, ``ParallelEngine`` abandoning a thread pool it cannot use
+for the in-process path — funnels through :func:`record_degradation` so
+the three evidence channels always agree: a ``service.degraded.*``
+metric, a structured ``service.degraded`` log event, and a span the
+flight recorder keeps with the query that degraded.
 
 This lives in :mod:`repro.faults` rather than :mod:`repro.service`
 because the core engines must be importable without dragging in the

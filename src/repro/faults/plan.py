@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 #: kind name -> exception factory. ``pool_death`` maps to OSError on
-#: purpose: a real fork-pool collapse surfaces as an OS-level error, and
-#: ParallelEngine's degradation path must catch it like the real thing.
+#: purpose: a thread pool that cannot start its threads fails with an
+#: OS-level error, and ParallelEngine's degradation path must catch it
+#: like the real thing.
 FAULT_KINDS = {
     "device_oom": lambda site: DeviceMemoryError(
         f"injected device OOM at {site}"

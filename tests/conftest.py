@@ -83,8 +83,13 @@ def fleet_clocks(result) -> Tuple[float, float]:
 def brute_force_frequent(
     db: TransactionDatabase, min_count: int, max_k: int | None = None
 ) -> Dict[Tuple[int, ...], int]:
-    """Exponential-scan oracle: exact frequent itemsets by definition."""
+    """Exponential-scan oracle: exact frequent itemsets by definition.
+
+    Supports are counted with plain Python sets over the rows of
+    ``db``, independent of every counting path in ``repro``.
+    """
     out: Dict[Tuple[int, ...], int] = {}
+    rows = [set(row.tolist()) for row in db]
     n_items = db.n_items
     cap = max_k if max_k is not None else n_items
     for k in range(1, cap + 1):
@@ -94,7 +99,7 @@ def brute_force_frequent(
                 tuple(combo[:i] + combo[i + 1 :]) not in out for i in range(k)
             ):
                 continue  # downward closure: skip unsupported supersets
-            support = db.support(combo)
+            support = len({t for t, row in enumerate(rows) if set(combo) <= row})
             if support >= min_count:
                 out[combo] = support
                 found_any = True

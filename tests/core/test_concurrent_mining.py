@@ -2,9 +2,9 @@
 
 The service mines on a worker pool, so two queries for *different*
 datasets routinely run simultaneously in one interpreter — including
-through the multiprocess parallel engine (``parallel.py``) and the
+through the thread-pool parallel engine (``parallel.py``) and the
 out-of-core sharded path (``sharding.py``), both of which hold
-per-call state (worker pools, shard slabs). Each threaded result must
+per-call state (thread pools, shard slabs). Each threaded result must
 be bit-identical to its single-threaded reference.
 """
 
@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.api import mine
 from repro.datasets import TransactionDatabase
+from tests.conftest import brute_force_frequent
 
 
 def _random_db(n, items, seed):
@@ -70,6 +71,7 @@ class TestConcurrentMine:
 
     def test_two_datasets_parallel_engine(self, dbs):
         refs = {name: mine(db, 0.1) for name, db in dbs.items()}
+        before = set(threading.enumerate())
         got = _mine_in_threads(
             {
                 name: (lambda db=db: mine(db, 0.1, engine="parallel"))
@@ -78,6 +80,14 @@ class TestConcurrentMine:
         )
         for name, ref in refs.items():
             assert got[name].same_itemsets(ref), name
+            oracle = brute_force_frequent(dbs[name], got[name].min_support)
+            assert got[name].as_dict() == oracle, name
+        # every run shut its pool down before returning
+        leaked = [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-parallel")
+        ]
+        assert leaked == []
 
     def test_two_datasets_sharded(self, dbs):
         refs = {name: mine(db, 0.1) for name, db in dbs.items()}

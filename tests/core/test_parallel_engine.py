@@ -1,10 +1,8 @@
-"""Unit tests for the parallel shared-memory counting engine."""
+"""Unit tests for the parallel thread-pool counting engine."""
 
 import ast
-import multiprocessing
 import os
-import time
-from multiprocessing import shared_memory
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +63,14 @@ def hybrid_engine(db):
     return eng
 
 
+def pool_threads(before=()):
+    """Live ``repro-parallel`` pool threads not already in ``before``."""
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("repro-parallel") and t not in before
+    ]
+
+
 class TestOneEngine:
     """ParallelEngine decides only *where* counting runs (AST-checked)."""
 
@@ -90,17 +96,27 @@ class TestOneEngine:
         assert [m for m in modules if m.endswith("hybrid")] == []
 
     def test_one_worker_function(self):
-        """Only ``_count_tile`` counts, and only on the shared core."""
-        counters = [
-            fn.name
-            for fn in self.TREE.body
-            if isinstance(fn, ast.FunctionDef)
-            and any(
-                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "support_words"
-                for c in ast.walk(fn)
-            )
+        """Every block, on the caller and on the pool, counts with one
+        call: ``support_words``, the shared counting core."""
+        imported = {
+            a.name
+            for n in ast.walk(self.TREE)
+            if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("bitset")
+            for a in n.names
+        }
+        assert imported == {"support_words"}
+        called = {
+            getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+            for c in ast.walk(self.TREE)
+            if isinstance(c, ast.Call)
+        }
+        assert called.isdisjoint({"and_rows", "row_supports", "support_many"})
+        submitted = [
+            c.args[0].id
+            for c in ast.walk(self.TREE)
+            if isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "submit"
         ]
-        assert counters == ["_count_tile"]
+        assert submitted == ["support_words"]
 
 
 class TestResolveWorkers:
@@ -155,7 +171,7 @@ class TestDispatch:
         eng.count_complete(ALL_PAIRS)
         c = eng.metrics.counters
         assert c["parallel.tiles"] >= 2  # sharded across both workers
-        assert c["parallel.shm_bytes"] >= eng.matrix.nbytes
+        assert "parallel.shm_bytes" not in c  # threads read the table in place
         assert eng.metrics.registry.gauge("parallel.workers") == 2
 
     def test_small_generation_stays_in_process(self, small_db):
@@ -277,66 +293,44 @@ class TestValidation:
 
 
 class TestFallback:
-    def test_no_fork_platform_degrades_in_process(self, small_db, monkeypatch):
-        def no_fork(method=None):
-            raise ValueError("fork start method unavailable")
+    def test_executor_failure_degrades_in_process(self, small_db, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(par_mod.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(par_mod, "ThreadPoolExecutor", no_threads)
         vec, eng = make_pair(small_db, workers=2, force_pool=True)
         try:
             got = eng.count_complete(ALL_PAIRS)
             assert np.array_equal(got, vec.count_complete(ALL_PAIRS))
+            # later batches stay in process without a second attempt
+            assert np.array_equal(eng.count_complete(ALL_PAIRS), got)
             assert eng.in_process
             assert eng.metrics.counters["parallel.pool_failures"] == 1
+            assert eng.metrics.registry.counter("service.degraded.total") == 1
         finally:
             eng.close()
 
-    def test_task_timeout_degrades_in_process(self, small_db, monkeypatch):
-        """A wedged pool fails fast into in-process execution instead of
-        hanging the run (the CI deadlock-protection contract)."""
-
-        def stuck_tile(tables, rows):  # pragma: no cover - worker side
-            time.sleep(60)
-
-        # patched before the pool forks, so workers inherit the stub
-        monkeypatch.setattr(par_mod, "_count_tile", stuck_tile)
-        vec, eng = make_pair(small_db, workers=2, force_pool=True)
-        eng.task_timeout = 0.25
-        try:
-            t0 = time.perf_counter()
-            got = eng.count_complete(ALL_PAIRS)
-            assert time.perf_counter() - t0 < 30.0
-            assert np.array_equal(got, vec.count_complete(ALL_PAIRS))
-            assert eng.in_process
-            assert eng.metrics.counters["parallel.pool_failures"] == 1
-        finally:
-            eng.close()
-
-    def test_workers_one_never_forks(self, small_db):
+    def test_workers_one_never_starts_a_thread(self, small_db):
+        before = pool_threads()
         _, eng = make_pair(small_db, workers=1, force_pool=True)
         try:
             eng.count_complete(ALL_PAIRS)
+            eng.count_extend(ALL_PAIRS)
             assert eng.in_process
+            assert pool_threads(before) == []
         finally:
             eng.close()
 
 
 class TestLifecycle:
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm")
-    def test_finalize_releases_pool_and_segments(self, skewed_db, monkeypatch):
-        """Seen from outside: after finalize() no segment the engine
-        created is left in /dev/shm and no worker process is alive. The
-        hybrid run publishes the installed dense block, a per-call table
-        of densified rows for the mixed candidates and the prefix rows."""
-        created = []
-
-        class Recording(shared_memory.SharedMemory):
-            def __init__(self, name=None, create=False, size=0):
-                super().__init__(name=name, create=create, size=size)
-                if create:
-                    created.append(self.name)
-
-        monkeypatch.setattr(par_mod.shared_memory, "SharedMemory", Recording)
+    def test_finalize_releases_pool_and_segments(self, skewed_db):
+        """Seen from outside: no ``repro-parallel`` thread outlives
+        finalize(), and the run leaves no /dev/shm entry. The
+        hybrid run counts the installed dense block, the densified rows
+        of the mixed candidates and the prefix rows on the pool."""
+        shm_before = set(os.listdir("/dev/shm"))
+        threads_before = pool_threads()
         eng = hybrid_engine(skewed_db)
         mixed = np.array([[i, j] for i in range(4) for j in range(4, 8)])
         eng.count_complete(mixed)
@@ -344,22 +338,49 @@ class TestLifecycle:
         eng.retain(np.arange(8))
         eng.count_extend(np.array([[i, 8 + i] for i in range(8)]))
         assert not eng.in_process
-        assert len(created) == 5  # installed + 3 mixed-item tables + prefix rows
+        assert pool_threads(threads_before) != []
         eng.finalize()
-        assert [n for n in created if os.path.exists(f"/dev/shm/{n}")] == []
-        assert multiprocessing.active_children() == []
+        assert pool_threads(threads_before) == []
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
+
+    def test_failed_run_releases_pool(self, skewed_db, monkeypatch):
+        """A run that raises in generation 3 shuts its pool down, even
+        while the caller keeps the exception (whose traceback holds the
+        engine), as a service does for its error record or a retry."""
+        monkeypatch.setattr(par_mod, "MIN_PARALLEL_CANDIDATES", 1)
+        real = ParallelEngine.count_complete
+        calls = []
+
+        def third_call_fails(self, candidates):
+            calls.append(self.in_process)
+            if len(calls) == 3:
+                raise MiningError("count failed in generation 3")
+            return real(self, candidates)
+
+        monkeypatch.setattr(ParallelEngine, "count_complete", third_call_fails)
+        before = pool_threads()
+        cfg = GPAprioriConfig(engine="parallel", workers=2)
+        with pytest.raises(MiningError, match="generation 3") as info:
+            gpapriori_mine(skewed_db, 20, config=cfg)
+        kept = info.value
+        assert kept.__traceback__ is not None
+        assert calls == [True, False, False]  # the pool ran generation 2
+        assert pool_threads(before) == []
 
     def test_close_is_idempotent(self, small_db):
+        before = pool_threads()
         _, eng = make_pair(small_db, workers=2, force_pool=True)
         eng.count_complete(ALL_PAIRS)
+        assert pool_threads(before) != []
         eng.close()
+        assert pool_threads(before) == []  # close() joins the pool's threads
         eng.close()
 
     def test_counting_after_close_still_correct(self, small_db):
         """A closed engine degrades gracefully rather than crashing."""
         vec, eng = make_pair(small_db, workers=2, force_pool=True)
         eng.close()
-        # the matrix segment is gone, so this must take the host path
+        # the pool is shut down, so this must count in process
         assert np.array_equal(
             eng.count_complete(ALL_PAIRS), vec.count_complete(ALL_PAIRS)
         )
