@@ -8,7 +8,7 @@ subpackage can surface its own error type.
 
 from __future__ import annotations
 
-from typing import Any, Type
+from typing import Any, Optional, Type
 
 from .errors import ReproError
 
@@ -17,6 +17,7 @@ __all__ = [
     "check_non_negative_int",
     "check_fraction",
     "check_support",
+    "check_query",
     "support_count",
 ]
 
@@ -93,3 +94,13 @@ def check_support(min_support: Any, n_transactions: int, err: Type[ReproError]) 
     raise err(
         f"min_support must be a float ratio or int count, got {type(min_support).__name__}"
     )
+
+
+def check_query(
+    min_support: Any, n_transactions: int, max_k: Optional[int], err: Type[ReproError]
+) -> int:
+    """:func:`check_support`, then ``max_k`` (``None`` or >= 1): every miner's prologue."""
+    min_count = check_support(min_support, n_transactions, err)
+    if max_k is not None and max_k < 1:
+        raise err(f"max_k must be >= 1, got {max_k}")
+    return min_count

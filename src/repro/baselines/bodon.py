@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
 from ..obs import mining_run, span
@@ -27,9 +27,7 @@ __all__ = ["bodon_mine"]
 
 def bodon_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     """Mine frequent itemsets with trie-based horizontal Apriori."""
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     metrics = RunMetrics(algorithm="bodon")
     cost = CpuCostModel()
 
@@ -54,6 +52,6 @@ def bodon_mine(db, min_support, max_k: int | None = None) -> MiningResult:
             # HashTrie reports in lexicographic order, the candidates' order.
             return np.array([c for _, c in counter_trie.supports()], dtype=np.int64)
 
-        found = levelwise(db.n_items, min_count, count, metrics, max_k)
+        levels = levelwise(db.n_items, min_count, count, metrics, max_k)
 
-    return MiningResult(found, db.n_transactions, min_count, metrics)
+    return MiningResult.from_levels(levels, db.n_transactions, min_count, metrics)

@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..bitset.tidset import TidsetTable, intersect_tidsets
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
@@ -34,9 +34,7 @@ __all__ = ["borgelt_mine"]
 
 def borgelt_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     """Mine frequent itemsets with tidset-based level-wise Apriori."""
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     metrics = RunMetrics(algorithm="borgelt")
     cost = CpuCostModel()
 
@@ -73,6 +71,6 @@ def borgelt_mine(db, min_support, max_k: int | None = None) -> MiningResult:
             nonlocal tidsets
             tidsets = [pending[i] for i in np.flatnonzero(frequent).tolist()]
 
-        found = levelwise(db.n_items, min_count, count, metrics, max_k, retain)
+        levels = levelwise(db.n_items, min_count, count, metrics, max_k, retain)
 
-    return MiningResult(found, db.n_transactions, min_count, metrics)
+    return MiningResult.from_levels(levels, db.n_transactions, min_count, metrics)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..bitset.bitset import BitsetMatrix
 from ..bitset.ops import support_many
 from ..errors import MiningError
@@ -31,9 +31,7 @@ def cpu_bitset_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     See :func:`repro.core.gpapriori.gpapriori_mine` for the shared
     algorithm; this entry point differs only in cost attribution.
     """
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     metrics = RunMetrics(algorithm="cpu_bitset")
     cost = CpuCostModel()
 
@@ -51,6 +49,6 @@ def cpu_bitset_mine(db, min_support, max_k: int | None = None) -> MiningResult:
                 metrics.add_modeled("cpu_bitset", cost.bitset_time(words))
             return supports
 
-        found = levelwise(db.n_items, min_count, count, metrics, max_k)
+        levels = levelwise(db.n_items, min_count, count, metrics, max_k)
 
-    return MiningResult(found, db.n_transactions, min_count, metrics)
+    return MiningResult.from_levels(levels, db.n_transactions, min_count, metrics)

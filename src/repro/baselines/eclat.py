@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..bitset.tidset import TidsetTable, intersect_tidsets
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
@@ -44,9 +44,7 @@ def eclat_mine(
     diffsets:
         Use the Zaki-Gouda diffset representation below level 1.
     """
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     algorithm = "eclat_diffset" if diffsets else "eclat"
     metrics = RunMetrics(algorithm=algorithm)
     cost = CpuCostModel()

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..errors import MiningError
 from ..gpusim.perfmodel import CpuCostModel
 from ..obs import mining_run, span
@@ -87,9 +87,7 @@ class _FPTree:
 
 def fpgrowth_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     """Mine frequent itemsets with FP-Growth."""
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     metrics = RunMetrics(algorithm="fpgrowth")
     cost = CpuCostModel()
     with mining_run("fpgrowth", metrics):

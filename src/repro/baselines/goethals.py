@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..core.itemset import MiningResult, RunMetrics
 from ..core.levelwise import levelwise
 from ..errors import MiningError
@@ -37,9 +37,7 @@ __all__ = ["goethals_mine"]
 
 def goethals_mine(db, min_support, max_k: int | None = None) -> MiningResult:
     """Mine frequent itemsets with flat-list horizontal Apriori."""
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     metrics = RunMetrics(algorithm="goethals")
     cost = CpuCostModel()
 
@@ -62,8 +60,8 @@ def goethals_mine(db, min_support, max_k: int | None = None) -> MiningResult:
             metrics.add_counter("candidates_counted", n)
             return counts
 
-        found = levelwise(db.n_items, min_count, count, metrics, max_k)
+        levels = levelwise(db.n_items, min_count, count, metrics, max_k)
         metrics.add_counter("items_scanned", items_touched)
         metrics.add_modeled("cpu_scan", cost.scan_time(items_touched))
 
-    return MiningResult(found, db.n_transactions, min_count, metrics)
+    return MiningResult.from_levels(levels, db.n_transactions, min_count, metrics)

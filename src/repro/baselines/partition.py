@@ -23,11 +23,11 @@ partitions shrink.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
-from .._validation import check_positive_int, check_support, support_count
+from .._validation import check_positive_int, check_query, support_count
 from ..bitset.bitset import BitsetMatrix
 from ..bitset.ops import support_many
 from ..datasets.transaction_db import TransactionDatabase
@@ -69,51 +69,49 @@ def partition_mine(
     stated over ratios.
     """
     check_positive_int(n_partitions, "n_partitions", MiningError)
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
     metrics = RunMetrics(algorithm="partition")
 
     with mining_run("partition", metrics, partitions=n_partitions):
         n = db.n_transactions
         ratio = min_count / n if n else 1.0
 
-        # ---- phase 1: local mining.
-        union: set[Tuple[int, ...]] = set()
+        # ---- phase 1: local mining; the union of local levels, per size.
+        local_rows: Dict[int, list] = {}
         with span("local_mining", partitions=n_partitions) as sp:
             for chunk in _partition(db, n_partitions):
                 local_min = support_count(ratio, chunk.n_transactions)
                 local = cpu_bitset_mine(chunk, local_min, max_k=max_k)
-                union.update(local.as_dict().keys())
+                for rows, _ in local.levels:
+                    local_rows.setdefault(rows.shape[1], []).append(rows)
                 metrics.add_counter("local_itemsets", len(local))
                 metrics.add_modeled(
                     "cpu_phase1", local.metrics.modeled_seconds or 0.0
                 )
-            sp.set(union_candidates=len(union))
-        metrics.add_counter("union_candidates", len(union))
+            union = [
+                np.unique(np.concatenate(local_rows[k]), axis=0) for k in sorted(local_rows)
+            ]
+            n_union = sum(len(cands) for cands in union)
+            sp.set(union_candidates=n_union)
+        metrics.add_counter("union_candidates", n_union)
 
         # ---- phase 2: one global counting pass over the union, per size.
-        found: Dict[Tuple[int, ...], int] = {}
-        with span("global_count", candidates=len(union)):
+        levels = []
+        with span("global_count", candidates=n_union):
             matrix = BitsetMatrix.from_database(db)
-            by_size: Dict[int, list] = {}
-            for items in union:
-                by_size.setdefault(len(items), []).append(items)
             from ..gpusim.perfmodel import CpuCostModel
 
             cost = CpuCostModel()
-            for k, group in sorted(by_size.items()):
-                cands = np.asarray(sorted(group), dtype=np.int64)
+            for cands in union:
                 supports = support_many(matrix, cands)
-                words = int(cands.shape[0]) * k * matrix.n_words
+                words = int(cands.size) * matrix.n_words
                 metrics.add_counter("bitset_words_anded", words)
                 metrics.add_modeled("cpu_phase2", cost.bitset_time(words))
-                for row, support in zip(cands, supports):
-                    if support >= min_count:
-                        found[tuple(int(x) for x in row)] = int(support)
+                frequent = supports >= min_count
+                levels.append((cands[frequent], supports[frequent]))
         metrics.add_counter(
-            "false_positives", len(union) - len(found)
+            "false_positives", n_union - sum(len(rows) for rows, _ in levels)
         )
         metrics.generations.append(db.n_items)
 
-    return MiningResult(found, n, min_count, metrics)
+    return MiningResult.from_levels(levels, n, min_count, metrics)

@@ -74,22 +74,16 @@ def tile_bounds(
     n: int,
     row_bytes: int,
     budget_bytes: int = TILE_BUDGET_BYTES,
-    min_tiles: int = 1,
 ) -> list:
     """Contiguous ``(start, stop)`` tiles over ``n`` candidate rows.
 
     The tile size is the largest count whose gathered ``(tile,
     row_bytes)`` block stays within ``budget_bytes`` — the cache-bound
-    batching :func:`support_many` has always used — optionally split
-    further so at least ``min_tiles`` non-empty tiles come back.
+    batching :func:`support_many` has always used.
     """
     if n <= 0:
         return []
-    if min_tiles < 1:
-        raise BitsetError(f"min_tiles must be >= 1, got {min_tiles}")
     tile = max(1, min(n, budget_bytes // max(row_bytes, 1)))
-    if min_tiles > 1:
-        tile = min(tile, -(-n // min_tiles))
     return [(start, min(start + tile, n)) for start in range(0, n, tile)]
 
 

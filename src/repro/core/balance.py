@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..bitset.bitset import BitsetMatrix
 from ..bitset.ops import support_many
 from ..errors import ConfigError, MiningError
@@ -131,9 +131,7 @@ def hybrid_mine(
     """
     config = config or GPAprioriConfig()
     balancer = balancer or ModelBalancer(config, device)
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
 
     metrics = RunMetrics(algorithm="hybrid")
     gpu_model = GpuCostModel(device)
@@ -169,9 +167,9 @@ def hybrid_mine(
                 )
             return supports
 
-        found = levelwise(db.n_items, min_count, count_generation, metrics, max_k)
+        levels = levelwise(db.n_items, min_count, count_generation, metrics, max_k)
 
-    result = MiningResult(found, db.n_transactions, min_count, metrics)
+    result = MiningResult.from_levels(levels, db.n_transactions, min_count, metrics)
     # expose the split history for benches/tests
     counters = result.metrics.counters
     counters["generations_on_gpu_only"] = sum(1 for n, g in splits if g == n and n)

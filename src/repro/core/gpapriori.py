@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .._validation import check_support
+from .._validation import check_query
 from ..bitset.bitset import BitsetMatrix
 from ..bitset.hybrid import HybridLayout, auto_dense_threshold
 from ..errors import MiningError
@@ -85,9 +85,7 @@ def gpapriori_mine(
         modeled hardware costs, and per-generation candidate counts.
     """
     config = config or GPAprioriConfig()
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
 
     metrics = RunMetrics(algorithm="gpapriori")
 
@@ -193,7 +191,7 @@ def gpapriori_mine(
                     engine.setup(matrix)
             plan = make_plan(config.plan)
 
-            found = levelwise(
+            levels = levelwise(
                 db.n_items,
                 min_count,
                 partial(plan.count, engine),
@@ -205,8 +203,8 @@ def gpapriori_mine(
         finally:
             engine.close()
 
-    return MiningResult(
-        itemsets=found,
+    return MiningResult.from_levels(
+        levels,
         n_transactions=db.n_transactions,
         min_support=min_count,
         metrics=metrics,

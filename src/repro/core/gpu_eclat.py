@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .._validation import check_support
+from .._validation import check_query
 from ..bitset.bitset import BitsetMatrix
 from ..bitset.ops import row_supports
 from ..errors import MiningError
@@ -52,9 +52,7 @@ def gpu_eclat_mine(
     and the peak modeled device residency of the DFS chain.
     """
     config = config or GPAprioriConfig()
-    min_count = check_support(min_support, db.n_transactions, MiningError)
-    if max_k is not None and max_k < 1:
-        raise MiningError(f"max_k must be >= 1, got {max_k}")
+    min_count = check_query(min_support, db.n_transactions, max_k, MiningError)
 
     metrics = RunMetrics(algorithm="gpu_eclat")
     model = GpuCostModel(device)

@@ -3,19 +3,30 @@
 All seven miners in this package return the same
 :class:`MiningResult`, which makes the cross-algorithm equality checks
 in the test suite and the Figure 6 benchmark harness one-liners.
+
+A result keeps the sorted ``(n, k)`` int32 rows and int64 supports
+that :func:`~repro.core.levelwise.levelwise` finds per itemset size,
+checks them with array operations, serializes them with one merge of
+the sorted levels, and builds an ``{items: support}`` dict only for
+lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import MiningError
 from ..obs.metrics import MetricsRegistry
+from ..trie.level import row_keys
 
 __all__ = ["Itemset", "RunMetrics", "MiningResult"]
 
 ItemsTuple = Tuple[int, ...]
+#: One itemset size: ``(n, k)`` int32 rows and their ``(n,)`` int64 supports.
+Level = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, order=True)
@@ -99,6 +110,61 @@ class RunMetrics:
         )
 
 
+def _mapping_levels(itemsets: Mapping[ItemsTuple, int]) -> List[Level]:
+    """Group a ``{items: support}`` mapping into sorted per-size arrays."""
+    by_size: Dict[int, list] = {}
+    for items in itemsets:
+        by_size.setdefault(len(items), []).append(items)
+    keys = [sorted(by_size[k]) for k in sorted(by_size)]
+    return [(np.array(k), np.array([itemsets[t] for t in k])) for k in keys]
+
+
+def _checked_level(rows, supports, n_transactions: int) -> Optional[Level]:
+    """A level as read-only int32 rows and int64 supports; ``None`` when empty."""
+    rows, supports = np.asarray(rows), np.asarray(supports)
+    if rows.ndim != 2 or supports.shape != rows.shape[:1]:
+        raise MiningError(
+            f"a level is (n, k) rows and n supports, not {rows.shape} and {supports.shape}"
+        )
+    n, k = rows.shape
+    if n == 0:
+        return None
+    if (k == 0 or rows.dtype.kind not in "iu" or supports.dtype.kind not in "iu"
+            or rows.min() < 0 or (rows.dtype != np.int32 and rows.max() >= 2**31)):
+        raise MiningError(f"size-{k} itemsets need int supports and int32 ids >= 0")
+    # Big-endian row bytes compare like the rows: each row must sort
+    # after the one before it, so a level is sorted and lists no itemset twice.
+    keys = row_keys(rows).view(f"S{4 * k}")
+    for bad, offset, what in (
+        (rows[:, 1:] <= rows[:, :-1], 0, "not strictly increasing"),
+        (keys[1:] <= keys[:-1], 1, "repeated or out of order"),
+        ((supports < 0) | (supports > n_transactions), 0, f"outside [0, {n_transactions}]"),
+    ):
+        if np.count_nonzero(bad):
+            i = int(np.argwhere(bad)[0][0]) + offset
+            items = tuple(rows[i].tolist())
+            raise MiningError(f"itemset {items} (support {supports[i]}) {what}")
+    rows = rows.astype(np.int32, copy=False).view()
+    supports = supports.astype(np.int64, copy=False).view()
+    rows.flags.writeable = supports.flags.writeable = False
+    return rows, supports
+
+
+def _checked_levels(levels: Iterable[Level], n_transactions: int) -> Tuple[Level, ...]:
+    if n_transactions < 0:
+        raise MiningError("n_transactions must be >= 0")
+    checked = [_checked_level(r, s, n_transactions) for r, s in levels]
+    checked = [level for level in checked if level is not None]
+    widths = [rows.shape[1] for rows, _ in checked]
+    if widths != sorted(set(widths)):
+        raise MiningError(f"levels must hold strictly increasing sizes, got {widths}")
+    return tuple(checked)
+
+
+def _itemsets(rows: np.ndarray, supports: np.ndarray) -> List[Itemset]:
+    return [Itemset(tuple(r), s) for r, s in zip(rows.tolist(), supports.tolist())]
+
+
 class MiningResult:
     """The frequent itemsets of one run plus its metrics.
 
@@ -112,6 +178,9 @@ class MiningResult:
         The absolute threshold the run used.
     metrics:
         Cost record; optional for hand-built results in tests.
+
+    :attr:`levels` holds one read-only ``(rows, supports)`` pair per
+    itemset size, in increasing size; both constructors check them.
     """
 
     def __init__(
@@ -121,84 +190,149 @@ class MiningResult:
         min_support: int,
         metrics: RunMetrics | None = None,
     ) -> None:
-        if n_transactions < 0:
-            raise MiningError("n_transactions must be >= 0")
-        self._itemsets: Dict[ItemsTuple, int] = dict(itemsets)
-        for items, support in self._itemsets.items():
-            if any(b <= a for a, b in zip(items, items[1:])):
-                raise MiningError(f"itemset {items} not strictly increasing")
-            if not 0 <= support <= max(n_transactions, 0):
-                raise MiningError(
-                    f"support {support} of {items} outside [0, {n_transactions}]"
-                )
+        levels = _checked_levels(_mapping_levels(itemsets), n_transactions)
+        self.levels: Tuple[Level, ...] = levels
+        self._dict: Optional[Dict[ItemsTuple, int]] = None
         self.n_transactions = n_transactions
         self.min_support = min_support
         self.metrics = metrics or RunMetrics()
 
+    @classmethod
+    def from_levels(
+        cls,
+        levels: Iterable[Level],
+        n_transactions: int,
+        min_support: int,
+        metrics: RunMetrics | None = None,
+    ) -> "MiningResult":
+        """A result over per-size ``(rows, supports)`` arrays, kept as given.
+
+        >>> import numpy as np
+        >>> levels = [(np.array([[0], [2]]), np.array([3, 2])), (np.array([[0, 2]]), [2])]
+        >>> r = MiningResult.from_levels(levels, n_transactions=4, min_support=2)
+        >>> r.support_of((0, 2)), len(r)
+        (2, 3)
+        """
+        result = cls({}, n_transactions, min_support, metrics)
+        result.levels = _checked_levels(levels, n_transactions)
+        return result
+
+    def at_least(self, min_support: int, max_k: Optional[int] = None) -> "MiningResult":
+        """The itemsets with support >= ``min_support`` and at most ``max_k`` items.
+
+        One support mask per level, cut at ``max_k``. The masks keep
+        this result's checked order, so they are not checked again. A
+        looser ``min_support`` than this result's raises: it cannot be
+        answered from this result.
+        """
+        if min_support < self.min_support:
+            raise MiningError(f"min_support {min_support} is below this result's")
+        kept = []
+        for rows, supports in self.levels:
+            if max_k is not None and rows.shape[1] > max_k:
+                break
+            mask = supports >= min_support
+            rows, supports = rows[mask], supports[mask]
+            rows.flags.writeable = supports.flags.writeable = False
+            if len(rows):
+                kept.append((rows, supports))
+        metrics = RunMetrics(algorithm=self.metrics.algorithm)
+        result = MiningResult({}, self.n_transactions, min_support, metrics)
+        result.levels = tuple(kept)
+        return result
+
+    def _view(self) -> Dict[ItemsTuple, int]:
+        """The ``{items: support}`` dict, built on first use and published
+        by one assignment (threads share cached results; at worst two build it)."""
+        if self._dict is None:
+            self._dict = {
+                items: support
+                for rows, supports in self.levels
+                for items, support in zip(map(tuple, rows.tolist()), supports.tolist())
+            }
+        return self._dict
+
     # -- container protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._itemsets)
+        return sum(rows.shape[0] for rows, _ in self.levels)
 
     def __iter__(self) -> Iterator[Itemset]:
-        for items in sorted(self._itemsets, key=lambda t: (len(t), t)):
-            yield Itemset(items, self._itemsets[items])
+        for level in self.levels:
+            yield from _itemsets(*level)
 
     def __contains__(self, items: Sequence[int]) -> bool:
-        return tuple(items) in self._itemsets
+        return tuple(items) in self._view()
 
     def support_of(self, items: Sequence[int]) -> int:
         """Absolute support of a frequent itemset; raises if absent."""
         key = tuple(items)
-        if key not in self._itemsets:
+        if key not in self._view():
             raise MiningError(f"{key} is not a frequent itemset of this result")
-        return self._itemsets[key]
+        return self._view()[key]
 
     def as_dict(self) -> Dict[ItemsTuple, int]:
         """Copy of the itemset -> support mapping."""
-        return dict(self._itemsets)
+        return dict(self._view())
 
     # -- views ---------------------------------------------------------------------
 
     def of_size(self, k: int) -> List[Itemset]:
         """Frequent k-itemsets in lexicographic order."""
-        return [
-            Itemset(items, s)
-            for items, s in sorted(self._itemsets.items())
-            if len(items) == k
-        ]
+        return next((_itemsets(*lvl) for lvl in self.levels if lvl[0].shape[1] == k), [])
 
     def max_size(self) -> int:
         """Length of the longest frequent itemset (0 when empty)."""
-        return max((len(t) for t in self._itemsets), default=0)
+        return self.levels[-1][0].shape[1] if self.levels else 0
 
     def maximal_itemsets(self) -> List[Itemset]:
         """Itemsets with no frequent proper superset in this result."""
-        keys = set(self._itemsets)
+        return self._unabsorbed(same_support=False)
+
+    def closed_itemsets(self) -> List[Itemset]:
+        """Itemsets with no frequent proper superset of equal support."""
+        return self._unabsorbed(same_support=True)
+
+    def _unabsorbed(self, same_support: bool) -> List[Itemset]:
+        """The k-rows that no (k+1)-row with one column dropped equals.
+
+        With ``same_support`` the support is a last key column, so only
+        an equal-support superset absorbs. Under downward closure (every
+        miner's output) checking immediate supersets suffices.
+        """
+        keyed = [np.column_stack(lvl) if same_support else lvl[0] for lvl in self.levels]
+        width = {rows.shape[1]: i for i, (rows, _) in enumerate(self.levels)}
         out: List[Itemset] = []
-        for items in sorted(keys, key=lambda t: (len(t), t)):
-            s = set(items)
-            has_super = any(
-                len(other) > len(items) and s.issubset(other) for other in keys
-            )
-            if not has_super:
-                out.append(Itemset(items, self._itemsets[items]))
+        for (rows, supports), keys in zip(self.levels, keyed):
+            k = rows.shape[1]
+            if k + 1 in width:
+                above = keyed[width[k + 1]]
+                dropped = [np.delete(above, j, axis=1) for j in range(k + 1)]
+                covered = np.unique(row_keys(np.concatenate(dropped)))
+                keys = row_keys(keys)
+                at = np.minimum(np.searchsorted(covered, keys), covered.size - 1)
+                keep = covered[at] != keys
+                rows, supports = rows[keep], supports[keep]
+            out += _itemsets(rows, supports)
         return out
 
     # -- comparisons ----------------------------------------------------------------
 
     def same_itemsets(self, other: "MiningResult") -> bool:
         """True when both runs found identical itemsets *and* supports."""
-        return self._itemsets == other._itemsets
+        return len(self.levels) == len(other.levels) and all(
+            np.array_equal(a, c) and np.array_equal(b, d)
+            for (a, b), (c, d) in zip(self.levels, other.levels)
+        )
 
     def diff(self, other: "MiningResult") -> Dict[str, list]:
         """Human-oriented difference report for debugging mismatches."""
-        mine, theirs = set(self._itemsets), set(other._itemsets)
+        ours, theirs = self._view(), other._view()
         return {
-            "only_self": sorted(mine - theirs)[:20],
-            "only_other": sorted(theirs - mine)[:20],
+            "only_self": sorted(ours.keys() - theirs.keys())[:20],
+            "only_other": sorted(theirs.keys() - ours.keys())[:20],
             "support_mismatch": sorted(
-                t for t in mine & theirs if self._itemsets[t] != other._itemsets[t]
+                t for t in ours.keys() & theirs.keys() if ours[t] != theirs[t]
             )[:20],
         }
 
@@ -237,10 +371,7 @@ class MiningResult:
             "n_transactions": self.n_transactions,
             "min_support": self.min_support,
             "algorithm": self.metrics.algorithm,
-            "itemsets": [
-                [list(items), support]
-                for items, support in sorted(self._itemsets.items())
-            ],
+            "itemsets": self._sorted_pairs(),
         }
         if include_metrics:
             doc.update(
@@ -250,6 +381,18 @@ class MiningResult:
                 counters=dict(self.metrics.counters),
             )
         return doc
+
+    def _sorted_pairs(self) -> list:
+        """``[items, support]`` lists in item-tuple order.
+
+        Each level is already sorted, so the sort merges one run per
+        size. It stays in Python: served requests each run on a new
+        thread, where every NumPy call costs several microseconds more.
+        """
+        pairs = []
+        for rows, supports in self.levels:
+            pairs += zip(rows.tolist(), supports.tolist())
+        return [[items, support] for items, support in sorted(pairs)]
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "MiningResult":

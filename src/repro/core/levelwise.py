@@ -3,8 +3,11 @@
 Count generation 1 (every item), then join the frequent level into the
 next candidates (:func:`~repro.trie.level.join_level`), count them and
 keep the frequent rows, until a generation is empty or ``max_k`` is
-reached. Miners differ only in how a candidate buffer is counted and
-priced, which they pass in:
+reached. It returns each frequent level as found, sorted ``(n, k)``
+int32 rows plus int64 supports, for
+:meth:`~repro.core.itemset.MiningResult.from_levels`: no tuple or dict
+is built per itemset. Miners differ only in how a candidate buffer is
+counted and priced, which they pass in:
 
 * ``count(candidates, parents) -> supports``, where ``parents[i]`` is
   the previous level's row holding candidate ``i``'s prefix (``None``
@@ -16,13 +19,13 @@ priced, which they pass in:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..obs import span
 from ..trie.level import join_level
-from .itemset import RunMetrics
+from .itemset import Level, RunMetrics
 
 __all__ = ["levelwise"]
 
@@ -37,14 +40,14 @@ def levelwise(
     metrics: RunMetrics,
     max_k: int | None = None,
     retain: RetainFn | None = None,
-) -> Dict[Tuple[int, ...], int]:
-    """Return ``{itemset: support}`` of every frequent itemset.
+) -> List[Level]:
+    """Return every frequent level as ``(rows, supports)``, in increasing size.
 
     Emits a ``generation`` span per generation, with ``candidate_gen``
     (from generation 2) and ``prune`` inside, and appends each counted
     generation's size to ``metrics.generations``.
     """
-    found: Dict[Tuple[int, ...], int] = {}
+    levels: List[Level] = []
 
     def keep(k: int, candidates, parents, gen_sp) -> np.ndarray:
         metrics.generations.append(int(candidates.shape[0]))
@@ -52,7 +55,7 @@ def levelwise(
         frequent = supports >= min_count
         with span("prune", k=k):
             level = candidates[frequent]
-            found.update(zip(map(tuple, level.tolist()), supports[frequent].tolist()))
+            levels.append((level, supports[frequent]))
             if retain is not None:
                 retain(candidates, frequent)
         gen_sp.set(frequent=int(level.shape[0]))
@@ -72,4 +75,4 @@ def levelwise(
             if candidates.shape[0] == 0:
                 break
             level = keep(k, candidates, parents, gen_sp)
-    return found
+    return levels

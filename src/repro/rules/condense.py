@@ -30,54 +30,10 @@ __all__ = ["closed_itemsets", "maximal_itemsets", "support_from_closed", "conden
 Items = Tuple[int, ...]
 
 
-def closed_itemsets(result: MiningResult) -> List[Itemset]:
-    """Frequent itemsets with no equal-support frequent superset.
-
-    O(sum over sizes of n_k * n_{k+1}) subset checks, organized by
-    size so each itemset is only compared against one-larger supersets
-    (equal support propagates transitively through the lattice, so
-    checking immediate supersets suffices for Apriori-closed results).
-    """
-    supports = result.as_dict()
-    by_size: Dict[int, List[Items]] = {}
-    for items in supports:
-        by_size.setdefault(len(items), []).append(items)
-    out: List[Itemset] = []
-    for k, level in sorted(by_size.items()):
-        supersets = by_size.get(k + 1, [])
-        for items in level:
-            s = set(items)
-            support = supports[items]
-            absorbed = any(
-                supports[sup] == support and s.issubset(sup)
-                for sup in supersets
-            )
-            if not absorbed:
-                out.append(Itemset(items, support))
-    out.sort(key=lambda i: (len(i.items), i.items))
-    return out
-
-
-def maximal_itemsets(result: MiningResult) -> List[Itemset]:
-    """Frequent itemsets with no frequent proper superset.
-
-    Same as :meth:`MiningResult.maximal_itemsets` but via the by-size
-    lattice walk (immediate supersets suffice under downward closure),
-    which is much faster on large results.
-    """
-    supports = result.as_dict()
-    by_size: Dict[int, List[Items]] = {}
-    for items in supports:
-        by_size.setdefault(len(items), []).append(items)
-    out: List[Itemset] = []
-    for k, level in sorted(by_size.items()):
-        supersets = by_size.get(k + 1, [])
-        for items in level:
-            s = set(items)
-            if not any(s.issubset(sup) for sup in supersets):
-                out.append(Itemset(items, supports[items]))
-    out.sort(key=lambda i: (len(i.items), i.items))
-    return out
+# One pass over the result's levels each (MiningResult._unabsorbed):
+# immediate supersets suffice under downward closure.
+closed_itemsets = MiningResult.closed_itemsets
+maximal_itemsets = MiningResult.maximal_itemsets
 
 
 def support_from_closed(

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
-from ..core.itemset import MiningResult, RunMetrics
+from ..core.itemset import MiningResult
 from ..errors import ServiceError
 from ..obs import span
 from ..obs.metrics import MetricsRegistry
@@ -40,11 +40,12 @@ __all__ = ["CachedEntry", "ResultCache", "filter_result", "result_bytes"]
 def result_bytes(result: MiningResult) -> int:
     """Estimated resident bytes of a cached result.
 
-    Python-object overhead dominates the raw tuple data; 64 bytes per
-    itemset plus 8 per item is deliberately on the high side so the
-    byte budget errs toward evicting early rather than blowing past.
+    Priced as if each itemset were a Python tuple: 64 bytes per itemset
+    plus 8 per item, deliberately on the high side so the byte budget
+    errs toward evicting early rather than blowing past. Read from the
+    level shapes, so storing a result never builds its dict view.
     """
-    return 256 + sum(64 + 8 * len(items) for items in result.as_dict())
+    return 256 + sum(n * (64 + 8 * k) for n, k in (rows.shape for rows, _ in result.levels))
 
 
 def filter_result(
@@ -55,21 +56,13 @@ def filter_result(
     Exact by anti-monotonicity: every itemset frequent at
     ``abs_support`` already appears in ``result`` (mined at a looser
     threshold) with its exact support, so keeping ``support >=
-    abs_support`` (and ``len <= max_k``) reproduces the cold run.
+    abs_support`` (and ``len <= max_k``) reproduces the cold run:
+    :meth:`~repro.core.itemset.MiningResult.at_least`, one support mask
+    per cached level, with no itemset dict built.
     """
-    kept = {
-        items: support
-        for items, support in result.as_dict().items()
-        if support >= abs_support and (max_k is None or len(items) <= max_k)
-    }
-    metrics = RunMetrics(algorithm=result.metrics.algorithm)
-    metrics.add_counter("service.cache_filtered_from", result.min_support)
-    return MiningResult(
-        kept,
-        n_transactions=result.n_transactions,
-        min_support=abs_support,
-        metrics=metrics,
-    )
+    filtered = result.at_least(abs_support, max_k)
+    filtered.metrics.add_counter("service.cache_filtered_from", result.min_support)
+    return filtered
 
 
 @dataclass
@@ -195,7 +188,7 @@ class ResultCache:
             cached = best.result
             exact = best.is_exact(abs_support, max_k)
         # Filtering happens outside the lock: it only reads the cached
-        # result's immutable itemset mapping (as_dict() copies).
+        # result's levels, which are read-only arrays.
         if exact:
             self.metrics.inc("service.cache.hits")
             return cached, "hit"
@@ -218,32 +211,8 @@ class ResultCache:
         max_k: Optional[int] = None,
     ) -> None:
         """Insert a mined result and trim the cache to budget."""
-        entry = CachedEntry(
-            result=result,
-            abs_support=abs_support,
-            max_k=max_k,
-            inserted_at=self.clock(),
-            nbytes=result_bytes(result),
-        )
-        if self.budget_bytes is not None and entry.nbytes > self.budget_bytes:
-            # A single result bigger than the whole budget would evict
-            # everything and then itself be the next victim; skip it.
-            self.metrics.inc("service.cache.oversize_skipped")
-            return
-        with self._lock:
-            self._sweep_expired(entry.inserted_at)
-            full_key = (key, abs_support, max_k)
-            self._entries[full_key] = entry
-            self._entries.move_to_end(full_key)
-            self.metrics.inc("service.cache.stores")
-            if self.budget_bytes is not None:
-                total = sum(e.nbytes for e in self._entries.values())
-                while total > self.budget_bytes and len(self._entries) > 1:
-                    victim_key = next(k for k in self._entries if k != full_key)
-                    victim = self._entries.pop(victim_key)
-                    total -= victim.nbytes
-                    self.metrics.inc("service.cache.evictions")
-            self._publish_gauges()
+        now = self.clock()
+        self._insert(key, result, abs_support, max_k, now, now, "service.cache.stores")
 
     def restore(
         self,
@@ -263,23 +232,26 @@ class ResultCache:
         """
         now = self.clock()
         inserted_at = now - max(0.0, float(age_seconds))
-        entry = CachedEntry(
-            result=result,
-            abs_support=abs_support,
-            max_k=max_k,
-            inserted_at=inserted_at,
-            nbytes=result_bytes(result),
+        return self._insert(
+            key, result, abs_support, max_k, inserted_at, now, "service.cache.restored"
         )
+
+    def _insert(self, key, result, abs_support, max_k, inserted_at, now, counter) -> bool:
+        """Add one live entry, drop expired ones and trim LRU order to budget."""
+        entry = CachedEntry(result, abs_support, max_k, inserted_at, result_bytes(result))
         if self._expired(entry, now):
             return False
         if self.budget_bytes is not None and entry.nbytes > self.budget_bytes:
+            # A single result bigger than the whole budget would evict
+            # everything and then itself be the next victim; skip it.
             self.metrics.inc("service.cache.oversize_skipped")
             return False
         with self._lock:
+            self._sweep_expired(now)
             full_key = (key, abs_support, max_k)
             self._entries[full_key] = entry
             self._entries.move_to_end(full_key)
-            self.metrics.inc("service.cache.restored")
+            self.metrics.inc(counter)
             if self.budget_bytes is not None:
                 total = sum(e.nbytes for e in self._entries.values())
                 while total > self.budget_bytes and len(self._entries) > 1:

@@ -121,22 +121,6 @@ class TestTileBounds:
     def test_empty(self):
         assert tile_bounds(0, row_bytes=64) == []
 
-    def test_min_tiles_splits(self):
-        """The parallel engine's per-worker sharding: at least
-        ``min_tiles`` pieces even when the budget allows one."""
-        bounds = tile_bounds(100, row_bytes=4, min_tiles=4)
-        assert len(bounds) >= 4
-        assert bounds[-1][1] == 100
-
-    def test_min_tiles_never_exceeds_candidates(self):
-        bounds = tile_bounds(3, row_bytes=4, min_tiles=8)
-        assert len(bounds) == 3
-        assert all(b - a == 1 for a, b in bounds)
-
-    def test_min_tiles_invalid(self):
-        with pytest.raises(BitsetError, match="min_tiles"):
-            tile_bounds(10, row_bytes=4, min_tiles=0)
-
     def test_huge_rows_still_one_candidate_per_tile(self):
         bounds = tile_bounds(5, row_bytes=1 << 30, budget_bytes=1024)
         assert bounds == [(i, i + 1) for i in range(5)]
@@ -151,14 +135,14 @@ class TestSupportWords:
         )
 
     def test_sharded_equals_whole(self, small_db):
-        """Per-worker sharding is invisible in the results: counting
-        tile-by-tile and concatenating equals one whole-buffer call."""
+        """Tiling is invisible in the results: counting tile-by-tile
+        and concatenating equals one whole-buffer call."""
         m = BitsetMatrix.from_database(small_db)
         cands = np.array([[i, (i + 1) % 12, (i + 2) % 12] for i in range(12)])
         whole = support_words(m.words, cands)
         parts = [
             support_words(m.words, cands[a:b])
-            for a, b in tile_bounds(len(cands), m.n_words * 4, min_tiles=3)
+            for a, b in tile_bounds(len(cands), m.n_words * 4, budget_bytes=m.n_words * 16)
         ]
         assert np.array_equal(np.concatenate(parts), whole)
 

@@ -24,6 +24,15 @@ def brute_force(db, min_count):
     return out
 
 
+def as_dict(levels):
+    """The ``{items: support}`` mapping of levelwise's per-level arrays."""
+    return {
+        tuple(row): support
+        for rows, supports in levels
+        for row, support in zip(rows.tolist(), supports.tolist())
+    }
+
+
 def support_counter(db, calls):
     def count(cands, parents):
         calls.append((cands.copy(), None if parents is None else parents.copy()))
@@ -35,9 +44,10 @@ def support_counter(db, calls):
 class TestDriver:
     def test_matches_brute_force_in_lexicographic_generations(self, paper_db):
         metrics = RunMetrics(algorithm="test")
-        found = levelwise(paper_db.n_items, 2, support_counter(paper_db, []), metrics)
-        assert found == brute_force(paper_db, 2)
-        keys = list(found)
+        levels = levelwise(paper_db.n_items, 2, support_counter(paper_db, []), metrics)
+        assert as_dict(levels) == brute_force(paper_db, 2)
+        assert [rows.shape[1] for rows, _ in levels] == list(range(1, len(levels) + 1))
+        keys = list(as_dict(levels))
         assert keys == sorted(keys, key=lambda t: (len(t), t))
         assert metrics.generations[0] == paper_db.n_items
 
@@ -65,14 +75,14 @@ class TestDriver:
     @pytest.mark.parametrize("max_k", [1, 2, 3])
     def test_max_k_caps_generations(self, small_db, max_k):
         metrics = RunMetrics()
-        found = levelwise(small_db.n_items, 6, support_counter(small_db, []), metrics, max_k)
+        levels = levelwise(small_db.n_items, 6, support_counter(small_db, []), metrics, max_k)
         assert len(metrics.generations) <= max_k
-        assert max(map(len, found)) <= max_k
+        assert max(map(len, as_dict(levels))) <= max_k
 
     def test_nothing_frequent(self, paper_db):
         metrics = RunMetrics()
-        found = levelwise(paper_db.n_items, 99, support_counter(paper_db, []), metrics)
-        assert found == {}
+        levels = levelwise(paper_db.n_items, 99, support_counter(paper_db, []), metrics)
+        assert as_dict(levels) == {}
         assert metrics.generations == [paper_db.n_items]
 
 

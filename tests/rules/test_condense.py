@@ -74,11 +74,20 @@ class TestMaximal:
         assert got == {(0, 1, 2)}
 
     def test_matches_result_method(self, small_db, dense_db):
+        """Both entry points equal a brute-force all-pairs superset check."""
         for db, s in ((small_db, 6), (dense_db, 15)):
             result = mine(db, s)
-            fast = {i.items for i in maximal_itemsets(result)}
-            slow = {i.items for i in result.maximal_itemsets()}
-            assert fast == slow
+            frequent = result.as_dict()
+            brute = {
+                items
+                for items in frequent
+                if not any(
+                    len(other) > len(items) and set(items) <= set(other)
+                    for other in frequent
+                )
+            }
+            assert {i.items for i in maximal_itemsets(result)} == brute
+            assert {i.items for i in result.maximal_itemsets()} == brute
 
     def test_every_frequent_has_maximal_superset(self, small_db):
         result = mine(small_db, 8)

@@ -172,6 +172,18 @@ class TestMetricsAndValidation:
         )
         assert result_bytes(big) > result_bytes(small)
 
+    def test_result_bytes_keeps_the_per_itemset_formula(self, db):
+        """Priced from level shapes, the estimate equals the per-tuple
+        sum, so eviction decisions do not move; storing builds no dict."""
+        result = mine(db, 2)
+        assert len({len(t) for t in result.as_dict()}) > 1
+        fresh = mine(db, 2)
+        assert result_bytes(fresh) == 256 + sum(
+            64 + 8 * len(items) for items in result.as_dict()
+        )
+        ResultCache().store(KEY, fresh, 2)
+        assert fresh._dict is None
+
     def test_covers_logic(self):
         r = MiningResult({}, n_transactions=5, min_support=2)
         entry = CachedEntry(r, abs_support=2, max_k=None, inserted_at=0.0, nbytes=1)
