@@ -119,6 +119,11 @@ def _mapping_levels(itemsets: Mapping[ItemsTuple, int]) -> List[Level]:
     return [(np.array(k), np.array([itemsets[t] for t in k])) for k in keys]
 
 
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """:func:`~repro.trie.level.row_keys` as bytes, which compare by ``memcmp``."""
+    return row_keys(rows).view(f"S{4 * rows.shape[1]}")
+
+
 def _checked_level(rows, supports, n_transactions: int) -> Optional[Level]:
     """A level as read-only int32 rows and int64 supports; ``None`` when empty."""
     rows, supports = np.asarray(rows), np.asarray(supports)
@@ -132,9 +137,9 @@ def _checked_level(rows, supports, n_transactions: int) -> Optional[Level]:
     if (k == 0 or rows.dtype.kind not in "iu" or supports.dtype.kind not in "iu"
             or rows.min() < 0 or (rows.dtype != np.int32 and rows.max() >= 2**31)):
         raise MiningError(f"size-{k} itemsets need int supports and int32 ids >= 0")
-    # Big-endian row bytes compare like the rows: each row must sort
-    # after the one before it, so a level is sorted and lists no itemset twice.
-    keys = row_keys(rows).view(f"S{4 * k}")
+    # Each row must sort after the one before it, so a level is sorted
+    # and lists no itemset twice.
+    keys = _byte_keys(rows)
     for bad, offset, what in (
         (rows[:, 1:] <= rows[:, :-1], 0, "not strictly increasing"),
         (keys[1:] <= keys[:-1], 1, "repeated or out of order"),
@@ -296,8 +301,10 @@ class MiningResult:
     def _unabsorbed(self, same_support: bool) -> List[Itemset]:
         """The k-rows that no (k+1)-row with one column dropped equals.
 
-        With ``same_support`` the support is a last key column, so only
-        an equal-support superset absorbs. Under downward closure (every
+        Each dropped-column copy of level k+1 is looked up in level k's
+        sorted keys, and the rows it hits are cleared. With
+        ``same_support`` the support is a last key column, so only an
+        equal-support superset absorbs. Under downward closure (every
         miner's output) checking immediate supersets suffices.
         """
         keyed = [np.column_stack(lvl) if same_support else lvl[0] for lvl in self.levels]
@@ -307,11 +314,12 @@ class MiningResult:
             k = rows.shape[1]
             if k + 1 in width:
                 above = keyed[width[k + 1]]
-                dropped = [np.delete(above, j, axis=1) for j in range(k + 1)]
-                covered = np.unique(row_keys(np.concatenate(dropped)))
-                keys = row_keys(keys)
-                at = np.minimum(np.searchsorted(covered, keys), covered.size - 1)
-                keep = covered[at] != keys
+                keys = _byte_keys(keys)
+                keep = np.ones(keys.size, dtype=bool)
+                for j in range(k + 1):
+                    dropped = _byte_keys(np.delete(above, j, axis=1))
+                    at = np.minimum(np.searchsorted(keys, dropped), keys.size - 1)
+                    keep[at[keys[at] == dropped]] = False
                 rows, supports = rows[keep], supports[keep]
             out += _itemsets(rows, supports)
         return out

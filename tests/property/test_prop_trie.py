@@ -57,15 +57,24 @@ def oracle_join(level):
     return cands, [position[c[:k]] for c in cands]
 
 
+def check_table(level, cands, subsets):
+    """Column d of a candidate's subset table is its level row without item d."""
+    assert subsets.dtype == np.int32 and subsets.shape == cands.shape
+    for d in range(cands.shape[1]):
+        assert (level[subsets[:, d]] == np.delete(cands, d, axis=1)).all()
+
+
 def check_against_oracle(level, k):
     array = np.array(sorted(level), dtype=np.int32).reshape(-1, k)
-    cands, parents = join_level(array)
+    cands, subsets = join_level(array)
+    parents = subsets[:, -1]
     want, want_parents = oracle_join(level)
     assert cands.dtype == np.int32 and cands.shape == (len(want), k + 1)
     assert list(map(tuple, cands.tolist())) == want
     assert parents.tolist() == want_parents
     # each parent row is its candidate's k-prefix
     assert (array[parents] == cands[:, :k]).all()
+    check_table(array, cands, subsets)
 
 
 class TestJoinLevelOracle:
@@ -100,6 +109,54 @@ class TestJoinLevelOracle:
     )
     def test_edge_levels(self, level, k):
         check_against_oracle(level, k)
+
+
+class TestSubsetTableProperties:
+    """Chained subset tables against the same brute force."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 11), min_size=2, max_size=12, unique=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.4, max_value=1.0),
+    )
+    def test_chained_generations(self, items, seed, keep_fraction):
+        """Generations chained as levelwise chains them: a random
+        frequent subset of each generation's candidates, with its rows
+        of the table, is the next level; each step matches the oracle
+        and the standalone path, which rebuilds the table."""
+        rng = np.random.default_rng(seed)
+        level = np.array(sorted(items), dtype=np.int32).reshape(-1, 1)
+        subsets = np.zeros((level.shape[0], 1), dtype=np.int32)
+        for _ in range(4):
+            cands, cand_subsets = join_level(level, subsets)
+            want, want_parents = oracle_join(list(map(tuple, level.tolist())))
+            assert list(map(tuple, cands.tolist())) == want
+            assert cand_subsets[:, -1].tolist() == want_parents
+            check_table(level, cands, cand_subsets)
+            alone, alone_subsets = join_level(level)
+            assert np.array_equal(alone, cands)
+            assert np.array_equal(alone_subsets, cand_subsets)
+            frequent = rng.random(cands.shape[0]) < keep_fraction
+            level, subsets = cands[frequent], cand_subsets[frequent]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.data())
+    def test_large_item_ids(self, k, data):
+        """Ids up to 2**31 - 1 at widths up to 9, where a mixed-radix
+        int64 key of whole rows would overflow."""
+        top = 2**31 - 1
+        items = data.draw(
+            st.lists(
+                st.one_of(st.integers(0, 40), st.integers(top - 40, top)),
+                min_size=k,
+                max_size=k + 3,
+                unique=True,
+            )
+        )
+        full = list(combinations(sorted(items), k))
+        drop = data.draw(st.sets(st.sampled_from(full), max_size=2))
+        check_against_oracle([t for t in full if t not in drop], k)
 
 
 class TestHashTrieProperties:

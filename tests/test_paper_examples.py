@@ -84,7 +84,8 @@ class TestFigure1:
         # generation 2 over items {1,2,3}, stored by level: the sorted
         # rows whose (k-1)-prefix runs are the trie's sibling groups
         level = np.array([(1, 2), (1, 3), (2, 3)], dtype=np.int32)
-        candidates, parents = join_level(level)
+        candidates, subsets = join_level(level)
+        parents = subsets[:, -1]
         # "new candidate generation ... merging the leaf nodes and their
         # siblings and appending new leaves to the current leaf layer":
         # siblings (1,2) and (1,3) join; (2,3) has no right sibling

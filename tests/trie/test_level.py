@@ -1,4 +1,4 @@
-"""Unit tests for the array-encoded level join, its tuple-list adapter and its row keys."""
+"""Unit tests for the array-encoded level join, its subset tables, tuple adapter and row keys."""
 
 from itertools import combinations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrieError
-from repro.trie.level import join_frequent, join_level, row_keys
+from repro.trie.level import join_frequent, join_level, level_subsets, row_keys
 
 
 def _expected(level):
@@ -19,31 +19,78 @@ def _expected(level):
 
 class TestJoinLevel:
     def test_level1_is_all_pairs(self):
-        cands, parents = join_level(np.array([[1], [3], [7]]))
+        cands, subsets = join_level(np.array([[1], [3], [7]]))
+        parents = subsets[:, -1]
         assert cands.tolist() == [[1, 3], [1, 7], [3, 7]]
         assert parents.tolist() == [0, 0, 1]
 
     def test_groups_do_not_join_across_prefixes(self):
         level = np.array([[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]])
-        cands, parents = join_level(level)
+        cands, subsets = join_level(level)
+        parents = subsets[:, -1]
         assert cands.tolist() == [[1, 2, 3], [2, 3, 4]]
         assert parents.tolist() == [0, 2]
 
     def test_infrequent_subset_pruned(self):
-        cands, parents = join_level(np.array([[1, 2], [1, 3]]))
+        cands, subsets = join_level(np.array([[1, 2], [1, 3]]))
+        parents = subsets[:, -1]
         assert cands.shape == (0, 3)
         assert parents.shape == (0,)
 
     @pytest.mark.parametrize("shape", [(0, 1), (0, 4), (1, 3)])
     def test_too_small_levels_join_to_nothing(self, shape):
-        cands, parents = join_level(np.zeros(shape, dtype=np.int32))
+        cands, subsets = join_level(np.zeros(shape, dtype=np.int32))
+        parents = subsets[:, -1]
         assert cands.shape == (0, shape[1] + 1)
         assert cands.dtype == np.int32
-        assert parents.dtype == np.int64
+        assert parents.dtype == np.int32
 
     def test_rejects_non_matrix(self):
         with pytest.raises(TrieError, match="2-d"):
             join_level(np.arange(4))
+
+
+class TestSubsetTable:
+    LEVEL = np.array([[1, 2], [1, 3], [2, 3]], dtype=np.int32)
+
+    def test_level_subsets_rank_the_dropped_item_rows(self):
+        # the 1-subsets (1,), (2,), (3,) rank 0, 1, 2; column d drops item d
+        assert level_subsets(self.LEVEL).tolist() == [[1, 0], [2, 0], [2, 1]]
+        assert level_subsets(np.array([[4], [9]])).tolist() == [[0], [0]]
+
+    def test_candidate_table_points_at_each_dropped_item_row(self):
+        cands, subsets = join_level(self.LEVEL, level_subsets(self.LEVEL))
+        assert cands.tolist() == [[1, 2, 3]]
+        # (1,2,3) without 1, 2, 3: rows (2,3), (1,3), (1,2) of the level
+        assert subsets.tolist() == [[2, 1, 0]]
+        assert subsets.dtype == np.int32
+
+    def test_a_given_table_is_used_as_is(self):
+        # ids of a larger previous generation, gaps included: only their
+        # order matters, not their values
+        sparse = level_subsets(self.LEVEL) * 5 + 3
+        assert join_level(self.LEVEL, sparse)[0].tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize(
+        "subsets, match",
+        [
+            (np.zeros((2, 2), dtype=np.int64), "shape"),  # too few rows
+            (np.zeros((3, 3), dtype=np.int64), "shape"),  # too wide
+            (np.zeros(3, dtype=np.int64), "shape"),  # one-dimensional
+            (np.zeros((3, 2), dtype=np.float64), "integer"),
+            (np.full((3, 2), "0"), "integer"),
+            (np.array([[1, 0], [2, 0], [2, -1]]), r"\[0, 2\*\*31\)"),
+            (np.array([[1, 0], [2, 0], [2, 2**31]]), r"\[0, 2\*\*31\)"),
+            ([[1, 0], [2, 0], [2]], "array"),  # ragged
+        ],
+    )
+    def test_rejects_a_table_that_does_not_fit_the_level(self, subsets, match):
+        with pytest.raises(TrieError, match=match):
+            join_level(self.LEVEL, subsets)
+
+    def test_checks_the_table_of_a_too_small_level(self):
+        with pytest.raises(TrieError, match="shape"):
+            join_level(np.array([[1, 2]]), np.zeros((1, 1), dtype=np.int64))
 
 
 class TestExactKeysAtAnyDepth:
@@ -59,7 +106,8 @@ class TestExactKeysAtAnyDepth:
         spread = [round(i * (self.N_ITEMS - 1) / (k + 1)) for i in range(k + 2)]
         level = sorted(combinations(spread, k))
         level.remove(tuple(spread[1 : k + 1]))  # leave two supersets unsupported
-        cands, parents = join_level(np.array(level, dtype=np.int32))
+        cands, subsets = join_level(np.array(level, dtype=np.int32))
+        parents = subsets[:, -1]
         expected = _expected(level)
         assert len(expected) == k
         assert list(map(tuple, cands.tolist())) == expected
