@@ -99,8 +99,8 @@ def check_support(min_support: Any, n_transactions: int, err: Type[ReproError]) 
 def check_query(
     min_support: Any, n_transactions: int, max_k: Optional[int], err: Type[ReproError]
 ) -> int:
-    """:func:`check_support`, then ``max_k`` (``None`` or >= 1): every miner's prologue."""
+    """:func:`check_support`, then ``max_k`` (``None`` or an int >= 1): every miner's prologue."""
     min_count = check_support(min_support, n_transactions, err)
-    if max_k is not None and max_k < 1:
-        raise err(f"max_k must be >= 1, got {max_k}")
+    if max_k is not None:
+        check_positive_int(max_k, "max_k", err)
     return min_count

@@ -31,7 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".hybrid": (
             "HybridLayout",
             "auto_dense_threshold",
-            "choose_layout",
+            "build_layout",
             "hybrid_supports",
             "hybrid_tables",
             "densify_rows",

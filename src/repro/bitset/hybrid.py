@@ -30,6 +30,8 @@ an item stores smaller as a tid-list iff its support is below
 (roughly 1/32 plus alignment padding). :func:`auto_dense_threshold`
 computes that, and ``layout="auto"`` additionally falls back to the
 all-dense layout whenever hybridizing would not actually save bytes.
+:func:`build_layout` is the one place that decision is made, for a
+mine, a registry load and a store build alike.
 
 Everything here is NumPy-level host code that runs in the engine's own
 process; the tests that pin the simulated kernels use it too.
@@ -42,13 +44,13 @@ from typing import List, Tuple
 import numpy as np
 
 from ..errors import BitsetError
-from .bitset import WORD_BITS, BitsetMatrix, words_for
+from .bitset import WORD_BITS, BitsetMatrix
 from .ops import support_words, tile_bounds
 
 __all__ = [
     "HybridLayout",
     "auto_dense_threshold",
-    "choose_layout",
+    "build_layout",
     "hybrid_supports",
     "hybrid_tables",
     "densify_rows",
@@ -70,21 +72,6 @@ def auto_dense_threshold(n_transactions: int, n_words: int) -> float:
     0.03125
     """
     return n_words / max(n_transactions, 1)
-
-
-def choose_layout(profile) -> str:
-    """Pick ``"hybrid"`` or ``"dense"`` from dataset characterization.
-
-    Uses the :class:`~repro.datasets.characterize.DatasetProfile`
-    density: when the *average* item's tid-list would undercut its
-    dense row (density below the break-even threshold), hybridize.
-    Skewed datasets benefit even above this cutoff — the per-item
-    classification in :meth:`HybridLayout.from_matrix` handles those
-    exactly; this is only the cheap stats-level default.
-    """
-    n_words = words_for(profile.n_transactions)
-    threshold = auto_dense_threshold(profile.n_transactions, n_words)
-    return "hybrid" if profile.density < threshold else "dense"
 
 
 class HybridLayout:
@@ -208,8 +195,8 @@ class HybridLayout:
         cls, db, dense_threshold: float, aligned: bool = True
     ) -> "HybridLayout":
         """Build straight from a horizontal database (via the transpose)."""
-        return cls.from_matrix(
-            BitsetMatrix.from_database(db, aligned=aligned), dense_threshold
+        return build_layout(
+            BitsetMatrix.from_database(db, aligned=aligned), "hybrid", dense_threshold
         )
 
     @classmethod
@@ -349,6 +336,25 @@ class HybridLayout:
             shard.n_transactions,
             self.dense_threshold,
         )
+
+
+def build_layout(
+    matrix: BitsetMatrix, layout: str, dense_threshold: float | None = None
+) -> HybridLayout | None:
+    """The generation-1 hybrid table ``layout`` asks for, or ``None``.
+
+    ``None`` means "install the all-dense ``matrix``". ``"dense"``
+    always gives ``None``; ``"hybrid"`` classifies the matrix at
+    ``dense_threshold`` (the storage break-even when ``None``);
+    ``"auto"`` classifies it the same way and keeps the result only
+    when it saves device bytes.
+    """
+    if layout == "dense":
+        return None
+    if dense_threshold is None:
+        dense_threshold = auto_dense_threshold(matrix.n_transactions, matrix.n_words)
+    built = HybridLayout.from_matrix(matrix, dense_threshold)
+    return built if layout == "hybrid" or built.bytes_saved > 0 else None
 
 
 def _decode_rows(words: np.ndarray, items: np.ndarray) -> np.ndarray:

@@ -755,7 +755,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     store = ArtifactStore(args.store_dir)
     if args.store_command == "build":
         from .bitset.bitset import BitsetMatrix
-        from .bitset.hybrid import HybridLayout, auto_dense_threshold
+        from .bitset.hybrid import build_layout
 
         db, label = _load_db(args)
         if args.name:
@@ -766,15 +766,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
             name = pathlib.Path(args.file).stem
         else:
             name = args.dataset or "chess"
-        hybrid = None
         matrix = BitsetMatrix.from_database(db, aligned=True)
-        if args.layout == "hybrid":
-            threshold = (
-                args.dense_threshold
-                if args.dense_threshold is not None
-                else auto_dense_threshold(matrix.n_transactions, matrix.n_words)
-            )
-            hybrid = HybridLayout.from_matrix(matrix, threshold)
+        hybrid = build_layout(matrix, args.layout, args.dense_threshold)
         path = store.build(name, db, matrix=matrix, hybrid=hybrid)
         import os
 

@@ -48,18 +48,6 @@ _GPAPRIORI_ACCEPTS: Tuple[str, ...] = (
 )
 
 
-def _gpapriori(db, min_support, **kwargs) -> MiningResult:
-    config = kwargs.pop("config", None)
-    if config is None and kwargs:
-        cfg_fields = {
-            k: kwargs.pop(k)
-            for k in list(kwargs)
-            if k in GPAprioriConfig.__dataclass_fields__
-        }
-        config = GPAprioriConfig(**cfg_fields) if cfg_fields else None
-    return gpapriori_mine(db, min_support, config=config, **kwargs)
-
-
 def _lazy(module: str, fn: str) -> Callable[..., MiningResult]:
     def run(db, min_support, **kwargs) -> MiningResult:
         import importlib
@@ -75,7 +63,7 @@ ALGORITHMS: Dict[str, AlgorithmInfo] = {
         name="GPApriori",
         platform="Single thread GPU + single thread CPU",
         layout="static bitset (vertical)",
-        runner=_gpapriori,
+        runner=gpapriori_mine,
         description="The paper's contribution: trie candidates, complete "
         "intersection of 64-byte-aligned bitsets on the (simulated) GPU.",
         accepts=_GPAPRIORI_ACCEPTS,
@@ -177,13 +165,13 @@ def mine(db, min_support, algorithm: str = "gpapriori", **kwargs) -> MiningResul
         ``gpu_eclat`` or ``partition``.
     **kwargs:
         Per-algorithm options, checked against the registry entry's
-        ``accepts`` tuple: ``max_k`` everywhere; ``faults=`` (a seeded
-        :class:`~repro.faults.FaultPlan`) everywhere — the plan is
-        activated around the run regardless of algorithm; GPApriori's
-        ``config=``
-        or individual config fields (``engine=``, ``shards=``,
-        ``memory_budget_bytes=``, ...) plus ``matrix=`` for a
-        pre-built (pinned) bitset matrix; Eclat's ``diffsets=True``;
+        ``accepts`` tuple: ``max_k`` (an int >= 1) everywhere;
+        ``faults=`` (a seeded :class:`~repro.faults.FaultPlan`)
+        everywhere — the plan is activated around the run regardless
+        of algorithm; GPApriori's ``config=`` or individual config
+        fields (``engine=``, ``shards=``, ``memory_budget_bytes=``,
+        ...), never both, plus ``matrix=`` for a pre-built (pinned)
+        bitset matrix; Eclat's ``diffsets=True``;
         Partition's ``n_partitions=``; ``balancer=``/``config=``/
         ``device=`` for the hybrid and GPU-Eclat extensions. An option
         the algorithm does not accept raises

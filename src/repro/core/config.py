@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
-from ..faults.plan import FaultPlan
 
 __all__ = ["GPAprioriConfig"]
 
@@ -89,12 +88,6 @@ class GPAprioriConfig:
         bitset matrix exceeds the budget, the shard width is sized so
         two shard slabs (double buffering) fit inside it — this is what
         lets datasets larger than (simulated) device DRAM be mined.
-    faults:
-        Optional seeded :class:`~repro.faults.FaultPlan` activated for
-        the duration of the run (chaos testing). ``None`` (the default)
-        keeps the injection hooks on their zero-cost disabled path.
-        Frozen and hashable, so it participates in :meth:`signature`
-        and two runs under different plans never share a cache entry.
     layout:
         Vertical layout for the generation-1 table. ``"dense"`` (the
         default) is the paper's static bitset matrix. ``"hybrid"``
@@ -122,7 +115,6 @@ class GPAprioriConfig:
     trace_accesses: bool = False
     shards: int = 0
     memory_budget_bytes: int | None = None
-    faults: FaultPlan | None = None
     layout: str = "dense"
     dense_threshold: float | None = None
     devices: int = 0
@@ -162,10 +154,6 @@ class GPAprioriConfig:
             raise ConfigError(
                 "memory_budget_bytes must be a positive int or None, "
                 f"got {self.memory_budget_bytes!r}"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ConfigError(
-                f"faults must be a FaultPlan or None, got {self.faults!r}"
             )
         if self.layout not in _VALID_LAYOUTS:
             raise ConfigError(
@@ -215,8 +203,8 @@ class GPAprioriConfig:
     def signature(self) -> tuple:
         """Canonical hashable identity of this configuration.
 
-        The mining service keys its result cache and coalesces
-        identical in-flight queries on this tuple, so two queries with
+        :meth:`~repro.core.request.MiningRequest.signature` builds the
+        mining service's cache key from this tuple, so two queries with
         equal configs — however they were spelled (``config=`` object
         vs. individual keyword fields) — share one execution and one
         cache entry. Fields appear in declaration order.

@@ -24,9 +24,8 @@ from functools import partial
 
 from .._validation import check_query
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import HybridLayout, auto_dense_threshold
+from ..bitset.hybrid import HybridLayout, build_layout
 from ..errors import MiningError
-from ..faults.injection import inject
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..obs import mining_run, span
 from .config import GPAprioriConfig
@@ -73,10 +72,9 @@ def gpapriori_mine(
         of ``db`` (the registry's pinned classification). Requires
         ``config.layout`` of ``"hybrid"`` or ``"auto"`` and is used
         as-is — the caller decided the threshold when building it.
-        Without it, a non-dense ``config.layout`` classifies the
-        (possibly pinned) matrix here: ``"hybrid"`` always installs
-        the hybrid table, ``"auto"`` only when it actually saves
-        device bytes.
+        Without it, :func:`~repro.bitset.hybrid.build_layout` picks
+        the table from the (possibly pinned) matrix and
+        ``config.layout``.
 
     Returns
     -------
@@ -137,7 +135,7 @@ def gpapriori_mine(
         if config.dense_threshold is not None:
             run_attrs["dense_threshold"] = config.dense_threshold
 
-    with inject(config.faults), mining_run("gpapriori", metrics, **run_attrs):
+    with mining_run("gpapriori", metrics, **run_attrs):
         layout = hybrid
         with span(
             "transpose",
@@ -147,17 +145,7 @@ def gpapriori_mine(
             if layout is None:
                 if matrix is None:
                     matrix = BitsetMatrix.from_database(db, aligned=config.aligned)
-                if config.layout != "dense":
-                    threshold = (
-                        config.dense_threshold
-                        if config.dense_threshold is not None
-                        else auto_dense_threshold(
-                            matrix.n_transactions, matrix.n_words
-                        )
-                    )
-                    built = HybridLayout.from_matrix(matrix, threshold)
-                    if config.layout == "hybrid" or built.bytes_saved > 0:
-                        layout = built
+                layout = build_layout(matrix, config.layout, config.dense_threshold)
             if layout is not None:
                 sp.set(
                     n_items=layout.n_items,

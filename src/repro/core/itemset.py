@@ -237,7 +237,7 @@ class MiningResult:
             if max_k is not None and rows.shape[1] > max_k:
                 break
             mask = supports >= min_support
-            rows, supports = rows[mask], supports[mask]
+            rows, supports = np.compress(mask, rows, axis=0), supports[mask]
             rows.flags.writeable = supports.flags.writeable = False
             if len(rows):
                 kept.append((rows, supports))
@@ -320,7 +320,7 @@ class MiningResult:
                     dropped = _byte_keys(np.delete(above, j, axis=1))
                     at = np.minimum(np.searchsorted(keys, dropped), keys.size - 1)
                     keep[at[keys[at] == dropped]] = False
-                rows, supports = rows[keep], supports[keep]
+                rows, supports = np.compress(keep, rows, axis=0), supports[keep]
             out += _itemsets(rows, supports)
         return out
 

@@ -3,13 +3,14 @@
 ``mine()`` keyword arguments, ``MiningService.query()`` calls, and the
 HTTP ``POST /v1/mine`` JSON body all describe the same thing: a
 dataset, a threshold, an algorithm, and that algorithm's options.
-Before this module each surface re-implemented the validation
-(algorithm membership, option-vs-``accepts`` checking, the universal
-``faults=`` plan) with subtly drifting error text. :class:`MiningRequest`
-is the single canonical form: build it from any surface's raw inputs
-with :meth:`MiningRequest.build`, and every surface raises the exact
-same :class:`~repro.errors.MiningError` messages because they are all
-this module's messages.
+:meth:`MiningRequest.build` is the one place such a query is checked —
+algorithm membership, options against ``accepts``, the universal
+``faults=`` plan, ``min_support`` and ``max_k`` types — and the one
+place GPApriori's options, spelled as ``config=`` or as individual
+:class:`~repro.core.config.GPAprioriConfig` fields, become one config.
+Every surface raises the same :class:`~repro.errors.MiningError`
+messages because they are all this module's messages, and
+:meth:`MiningRequest.signature` is the mining service's cache key.
 
 The JSON body of ``POST /v1/mine`` maps 1:1 onto the constructor
 fields: ``dataset``, ``min_support``, ``algorithm``, ``max_k``, and
@@ -18,14 +19,18 @@ every remaining key an entry of ``options``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from .._validation import check_query
 from ..errors import MiningError
 from ..faults.injection import inject
 from ..faults.plan import FaultPlan
+from .config import GPAprioriConfig
 
 __all__ = ["MiningRequest"]
+
+_CONFIG_FIELDS = GPAprioriConfig.__dataclass_fields__
 
 
 @dataclass(frozen=True)
@@ -38,22 +43,26 @@ class MiningRequest:
         Fractional support ratio in (0, 1] or absolute count >= 1
         (normalized against the database at execution time).
     algorithm:
-        Lower-cased registry key (or ``"auto"`` for service queries,
-        resolved against the dataset profile before execution).
+        Lower-cased registry key.
     dataset:
         Registered dataset name for service/HTTP queries; ``None`` for
         direct :func:`~repro.core.api.mine` calls, which carry the
         database itself.
     max_k:
-        Optional cap on itemset length.
+        Optional cap on itemset length (an int >= 1).
     options:
-        Canonical option mapping: ``(name, value)`` pairs sorted by
-        name, validated against the algorithm's
+        The query's options as given: ``(name, value)`` pairs sorted
+        by name, validated against the algorithm's
         :class:`~repro.core.api.AlgorithmInfo` ``accepts`` tuple.
     faults:
         Optional seeded :class:`~repro.faults.FaultPlan` activated
         around the run (refused by the service, where chaos plans come
         from the operator).
+    config:
+        For ``gpapriori``, the one :class:`GPAprioriConfig` the options
+        resolve to: the ``config=`` object, or the individual fields
+        with any caller defaults folded in. ``None`` for the other
+        algorithms, which take their options as given.
     """
 
     min_support: Any
@@ -62,6 +71,7 @@ class MiningRequest:
     max_k: Optional[int] = None
     options: Tuple[Tuple[str, Any], ...] = ()
     faults: Optional[FaultPlan] = None
+    config: Optional[GPAprioriConfig] = None
 
     # -- construction --------------------------------------------------------
 
@@ -73,85 +83,77 @@ class MiningRequest:
         dataset: Optional[str] = None,
         max_k: Optional[int] = None,
         options: Optional[Mapping[str, Any]] = None,
-        allow_auto: bool = False,
         reserved: Tuple[str, ...] = (),
+        defaults: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
     ) -> "MiningRequest":
         """Validate raw inputs into a canonical request.
 
         ``options`` is the surface's raw keyword mapping; ``max_k`` and
         ``faults`` found inside it are normalized into their fields
-        (unless ``"faults"`` is reserved, in which case it stays an
-        option so :meth:`check_options` rejects it with the service's
-        message). ``allow_auto`` admits the service's ``"auto"``
-        algorithm, whose option check is deferred to resolution time.
+        (unless ``"faults"`` is reserved). ``reserved`` names options
+        the caller manages itself: their presence is an error, and they
+        are left out of the accepted-options listing. ``defaults``, for
+        ``gpapriori``, maps the query's own config fields to the fields
+        with the caller's defaults folded in (the service's serve-level
+        layout, device budget and fleet size); a ``config=`` object is
+        taken as it is.
         """
         from .api import ALGORITHMS
 
+        if not isinstance(algorithm, str):
+            raise MiningError(f"'algorithm' must be a string, got {algorithm!r}")
         key = algorithm.lower()
-        if key not in ALGORITHMS and not (allow_auto and key == "auto"):
-            choices = sorted(ALGORITHMS) + (["auto"] if allow_auto else [])
+        if key not in ALGORITHMS:
             raise MiningError(
-                f"unknown algorithm {algorithm!r}; choose from {choices}"
+                f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
+        accepts = ALGORITHMS[key].accepts
         opts = dict(options or {})
-        faults = None
-        if "faults" not in reserved:
-            faults = opts.pop("faults", None)
-            if faults is not None and not isinstance(faults, FaultPlan):
-                raise MiningError(
-                    f"faults must be a repro.faults.FaultPlan or None, "
-                    f"got {faults!r}"
-                )
         if max_k is None:
             max_k = opts.pop("max_k", None)
-        request = cls(
+        faults = None if "faults" in reserved else opts.pop("faults", None)
+        if faults is not None and not isinstance(faults, FaultPlan):
+            raise MiningError(
+                f"faults must be a repro.faults.FaultPlan or None, got {faults!r}"
+            )
+        check_query(min_support, 0, max_k, MiningError)
+        for name in opts:
+            if name in reserved:
+                raise MiningError(
+                    f"option {name!r} is managed by the service and cannot "
+                    "be set per query"
+                )
+            if name not in accepts:
+                raise MiningError(
+                    f"unknown option {name!r} for algorithm {key!r}; "
+                    f"it accepts: "
+                    f"{', '.join(a for a in accepts if a not in reserved)}"
+                )
+        return cls(
             min_support=min_support,
             algorithm=key,
             dataset=dataset,
             max_k=max_k,
             options=tuple(sorted(opts.items())),
             faults=faults,
+            config=_resolve_config(opts, defaults) if key == "gpapriori" else None,
         )
-        if key != "auto":
-            request.check_options(reserved=reserved)
-        return request
-
-    # -- validation ----------------------------------------------------------
-
-    def check_options(
-        self,
-        algorithm: Optional[str] = None,
-        reserved: Tuple[str, ...] = (),
-    ) -> None:
-        """Validate the option names against the algorithm's ``accepts``.
-
-        ``algorithm`` overrides the request's own (the service passes
-        the profile-resolved key for ``"auto"`` requests). ``reserved``
-        names options the caller manages itself: their presence is an
-        error, and they are omitted from the accepted-options listing.
-        """
-        from .api import ALGORITHMS
-
-        key = (algorithm or self.algorithm).lower()
-        info = ALGORITHMS[key]
-        for name, _ in self.options:
-            if name in reserved:
-                raise MiningError(
-                    f"option {name!r} is managed by the service and cannot "
-                    "be set per query"
-                )
-            if name not in info.accepts:
-                raise MiningError(
-                    f"unknown option {name!r} for algorithm {key!r}; "
-                    f"it accepts: "
-                    f"{', '.join(a for a in info.accepts if a not in reserved)}"
-                )
 
     # -- execution -----------------------------------------------------------
 
+    def _unresolved(self) -> Tuple[Tuple[str, Any], ...]:
+        """The options the resolved config does not stand for."""
+        if self.config is None:
+            return self.options
+        return tuple(
+            (k, v) for k, v in self.options if k != "config" and k not in _CONFIG_FIELDS
+        )
+
     def runner_kwargs(self) -> Dict[str, Any]:
         """The keyword arguments this request hands the runner."""
-        kwargs = dict(self.options)
+        kwargs = dict(self._unresolved())
+        if self.config is not None:
+            kwargs["config"] = self.config
         if self.max_k is not None:
             kwargs["max_k"] = self.max_k
         return kwargs
@@ -166,19 +168,30 @@ class MiningRequest:
 
     # -- identity ------------------------------------------------------------
 
-    def resolve(self, algorithm: str) -> "MiningRequest":
-        """A copy with ``"auto"`` replaced by the resolved key."""
-        return replace(self, algorithm=algorithm.lower())
-
     def signature(self) -> tuple:
-        """Canonical hashable identity (cache-key building block)."""
-        return (
-            self.dataset,
-            self.algorithm,
-            self.max_k,
-            self.options,
-            self.faults,
-        )
+        """``(dataset, algorithm, options)``: the service's cache key.
+
+        The options part is the resolved config's
+        :meth:`~repro.core.config.GPAprioriConfig.signature` plus the
+        remaining options, so a ``config=`` query and its field-spelled
+        twin share one key. ``min_support`` and ``max_k`` stay out: the
+        cache answers a tighter query from a looser entry. Raises
+        :class:`~repro.errors.MiningError` when an option value is not
+        hashable.
+        """
+        options = self._unresolved()
+        if self.config is not None:
+            options = self.config.signature() + options
+        if self.faults is not None:
+            options += (("faults", self.faults),)
+        key = (self.dataset, self.algorithm, options)
+        try:
+            hash(key)
+        except TypeError:
+            raise MiningError(
+                f"option values must be hashable, got {dict(self.options)!r}"
+            ) from None
+        return key
 
     def as_dict(self) -> Dict[str, Any]:
         """The 1:1 JSON form (the ``POST /v1/mine`` body layout)."""
@@ -191,3 +204,24 @@ class MiningRequest:
             doc["max_k"] = self.max_k
         doc.update(self.options)
         return doc
+
+
+def _resolve_config(
+    options: Dict[str, Any],
+    defaults: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]],
+) -> GPAprioriConfig:
+    """The one config a gpapriori query's options stand for."""
+    fields = {k: v for k, v in options.items() if k in _CONFIG_FIELDS}
+    config = options.get("config")
+    if config is None:
+        return GPAprioriConfig(**(defaults(fields) if defaults else fields))
+    if fields:
+        raise MiningError(
+            "pass config= or individual GPAprioriConfig fields, not both; "
+            f"got config= and {', '.join(sorted(fields))}"
+        )
+    if not isinstance(config, GPAprioriConfig):
+        raise MiningError(
+            f"config must be a GPAprioriConfig, got {type(config).__name__}"
+        )
+    return config

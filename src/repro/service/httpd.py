@@ -65,7 +65,6 @@ from ..errors import (
     ReproError,
     ServiceOverloadError,
 )
-from ..core.request import MiningRequest
 from ..obs.logging import get_logger, log_event
 from ..obs.promexpo import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..obs.promexpo import render_prometheus
@@ -275,34 +274,17 @@ class MiningRequestHandler(BaseHTTPRequestHandler):
             return 400, {"error": "body must be a JSON object"}, None
         if "dataset" not in doc or "min_support" not in doc:
             return 400, {"error": "body requires 'dataset' and 'min_support'"}, None
-        kwargs = dict(doc)
-        dataset = kwargs.pop("dataset")
-        min_support = kwargs.pop("min_support")
+        options = dict(doc)
+        dataset = options.pop("dataset")
         if not isinstance(dataset, str):
             return 400, {"error": "'dataset' must be a string"}, None
         # The body is the 1:1 JSON image of a MiningRequest: known
-        # fields map onto the dataclass, everything else is an option.
-        # The request is built raw (not via ``build``) so validation
-        # runs inside the service's traced span, where the flight
-        # recorder sees it.
-        algorithm = kwargs.pop("algorithm", "gpapriori")
-        max_k = kwargs.pop("max_k", None)
-        timeout = kwargs.pop("timeout", None)
-        if not isinstance(algorithm, str):
-            return 400, {"error": "'algorithm' must be a string"}, None
-        request = MiningRequest(
-            min_support=min_support,
-            algorithm=algorithm,
-            dataset=dataset,
-            max_k=max_k,
-            options=tuple(sorted(kwargs.items())),
-        )
+        # fields map onto the query's parameters, everything else is
+        # an option. The service builds the request inside its traced
+        # span, where the flight recorder sees validation errors too.
         service = self.server.service
         try:
-            response = service.query(request, timeout=timeout)
-        except TypeError as exc:
-            # e.g. a non-keywordable option smuggled in the JSON body
-            return 400, {"error": str(exc), "type": "TypeError"}, None
+            response = service.query(dataset, **options)
         except DatasetError as exc:
             return 404, {"error": str(exc), "type": type(exc).__name__}, None
         except ServiceOverloadError as exc:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Union
 
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import VALID_LAYOUTS, HybridLayout, auto_dense_threshold
+from ..bitset.hybrid import VALID_LAYOUTS, HybridLayout, build_layout
 from ..core.sharding import ShardPlan
 from ..datasets.characterize import DatasetProfile, profile_database
 from ..datasets.transaction_db import TransactionDatabase
@@ -317,15 +317,8 @@ class DatasetRegistry:
             if profile is None:
                 with span("service.dataset_profile", dataset=name):
                     profile = profile_database(db)
-            if hybrid is None and self.layout != "dense":
-                threshold = (
-                    self.dense_threshold
-                    if self.dense_threshold is not None
-                    else auto_dense_threshold(matrix.n_transactions, matrix.n_words)
-                )
-                built = HybridLayout.from_matrix(matrix, threshold)
-                if self.layout == "hybrid" or built.bytes_saved > 0:
-                    hybrid = built
+            if hybrid is None:
+                hybrid = build_layout(matrix, self.layout, self.dense_threshold)
             plan = None
             budget = self.device_budget_bytes
             if budget is not None:

@@ -39,7 +39,7 @@ from ..obs.logging import get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import current_tracer
 
-__all__ = ["QueryScheduler"]
+__all__ = ["QueryScheduler", "check_timeout"]
 
 logger = get_logger("scheduler")
 
@@ -97,6 +97,16 @@ class _Inflight:
         self.enqueued_at = time.monotonic()
 
 
+def check_timeout(timeout: Optional[float]) -> None:
+    """Refuse a caller deadline that is not positive seconds or ``None``."""
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not 0 < timeout <= threading.TIMEOUT_MAX
+    ):
+        raise ServiceError(f"timeout must be positive seconds or None, got {timeout!r}")
+
+
 class QueryScheduler:
     """Worker pool executing coalesced, deadline-bounded callables."""
 
@@ -143,8 +153,7 @@ class QueryScheduler:
         full, :class:`QueryTimeoutError` if ``timeout`` elapses first,
         and re-raises whatever ``fn`` raised otherwise.
         """
-        if timeout is not None and timeout <= 0:
-            raise ServiceError(f"timeout must be positive or None, got {timeout!r}")
+        check_timeout(timeout)
         with self._lock:
             if self._closed:
                 raise ServiceError("scheduler is closed")

@@ -31,12 +31,12 @@ import itertools
 import logging
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Dict, Hashable, Optional
 
 from .._validation import check_support
-from ..core.api import ALGORITHMS, mine
-from ..core.config import GPAprioriConfig
+from ..core.api import ALGORITHMS
 from ..core.request import MiningRequest
 from ..datasets.characterize import DatasetProfile
 from ..errors import (
@@ -55,7 +55,7 @@ from .cache import ResultCache
 from .flightrec import FlightRecorder, QueryRecord, now_epoch
 from .registry import DatasetEntry, DatasetRegistry
 from .retry import RetryPolicy, record_degradation
-from .scheduler import QueryScheduler
+from .scheduler import QueryScheduler, check_timeout
 
 __all__ = ["MiningService", "QueryResponse", "choose_algorithm"]
 
@@ -103,11 +103,12 @@ class QueryResponse:
         }
 
 
-# options the service controls itself and refuses from callers
-# ("faults" included: chaos plans come from the operator's env knob,
-# never from a client of a shared service; "hybrid" because the pinned
-# layout object belongs to the registry, clients pick layout= instead)
-_RESERVED_OPTIONS = ("config", "device", "matrix", "faults", "hybrid")
+# options the service controls itself and refuses from callers: the
+# Python-object options ("config", "device", "matrix", "hybrid",
+# "balancer"; the pinned layouts belong to the registry, clients pick
+# layout= instead) and "faults" (chaos plans come from the operator's
+# env knob, never from a client of a shared service)
+_RESERVED_OPTIONS = ("balancer", "config", "device", "faults", "hybrid", "matrix")
 
 
 class MiningService:
@@ -248,8 +249,9 @@ class MiningService:
 
     def query(
         self,
-        dataset,
-        min_support=None,
+        /,
+        dataset: str,
+        min_support,
         algorithm: str = "gpapriori",
         max_k: Optional[int] = None,
         timeout: Optional[float] = None,
@@ -258,34 +260,19 @@ class MiningService:
         """Answer one mining query (cache-first, scheduled when cold).
 
         Parameters mirror :func:`repro.core.api.mine` except the first
-        argument is a registered dataset *name* — or a ready
-        :class:`~repro.core.request.MiningRequest` carrying the whole
-        query, in which case ``min_support``/``algorithm``/``max_k``/
-        ``**options`` must be omitted — and ``timeout`` bounds this
-        caller's wait in seconds. Raises
-        :class:`~repro.errors.DatasetError` for unknown datasets,
-        :class:`~repro.errors.ServiceOverloadError` when the admission
-        queue is full, and :class:`~repro.errors.QueryTimeoutError` on
-        a missed deadline.
+        argument is a registered dataset *name*, ``algorithm`` may also
+        be ``"auto"``, and ``timeout`` bounds this caller's wait in
+        seconds. The query is checked by
+        :meth:`~repro.core.request.MiningRequest.build` inside the
+        query's traced span, so the flight recorder sees rejections
+        too. Raises :class:`~repro.errors.DatasetError` for unknown
+        datasets, :class:`~repro.errors.ServiceOverloadError` when the
+        admission queue is full, and
+        :class:`~repro.errors.QueryTimeoutError` on a missed deadline.
         """
         if self._closed:
             raise ServiceError("service is closed")
         t0 = time.perf_counter()
-        request: Optional[MiningRequest] = None
-        if isinstance(dataset, MiningRequest):
-            if min_support is not None or options:
-                raise MiningError(
-                    "pass either a MiningRequest or keyword fields, not both"
-                )
-            request = dataset
-            if request.dataset is None:
-                raise MiningError("request.dataset names the registered dataset")
-            if max_k is None:
-                max_k = request.max_k
-            dataset = request.dataset
-            algorithm = request.algorithm
-            min_support = request.min_support
-            options = dict(request.options)
         query_id = f"q{next(self._query_ids):06d}"
         started_at = now_epoch()
         # Each query runs under its own tracer so the flight recorder
@@ -314,35 +301,25 @@ class MiningService:
                     algorithm=algorithm,
                 ) as query_span:
                     entry = self.registry.get(dataset)
-                    if request is None:
-                        request = MiningRequest.build(
-                            min_support,
-                            algorithm=algorithm,
-                            dataset=dataset,
-                            max_k=max_k,
-                            options=options,
-                            allow_auto=True,
-                            reserved=_RESERVED_OPTIONS,
-                        )
-                    if request.faults is not None:
-                        raise MiningError(
-                            "option 'faults' is managed by the service and "
-                            "cannot be set per query"
-                        )
-                    algorithm = self._resolve_algorithm(request.algorithm, entry)
-                    state["algorithm"] = algorithm
-                    request = request.resolve(algorithm)
-                    request.check_options(reserved=_RESERVED_OPTIONS)
-                    options = dict(request.options)
-                    max_k = request.max_k if max_k is None else max_k
-                    state["max_k"] = max_k
-                    if max_k is not None and max_k < 1:
-                        raise MiningError(f"max_k must be >= 1, got {max_k}")
+                    if isinstance(algorithm, str) and algorithm.lower() == "auto":
+                        algorithm = state["algorithm"] = choose_algorithm(entry.profile)
+                        self.metrics.inc(f"service.auto.{algorithm}")
+                    request = MiningRequest.build(
+                        min_support,
+                        algorithm=algorithm,
+                        dataset=dataset,
+                        max_k=max_k,
+                        options=options,
+                        reserved=_RESERVED_OPTIONS,
+                        defaults=partial(self._serve_defaults, entry),
+                    )
+                    algorithm = state["algorithm"] = request.algorithm
+                    check_timeout(timeout)
                     abs_support = check_support(
                         min_support, entry.db.n_transactions, MiningError
                     )
                     state["abs_support"] = abs_support
-                    key = self._cache_key(dataset, algorithm, options, entry)
+                    key = request.signature()
                     cached = self.cache.lookup(key, abs_support, max_k)
                     if cached is not None:
                         result, kind = cached
@@ -354,7 +331,7 @@ class MiningService:
                             lambda: self.scheduler.execute(
                                 key=(key, abs_support, max_k),
                                 fn=lambda: self._mine_cold(
-                                    entry, algorithm, abs_support, max_k, options, key
+                                    entry, request, abs_support, key
                                 ),
                                 timeout=timeout,
                             ),
@@ -467,74 +444,31 @@ class MiningService:
                 **fields,
             )
 
-    def _resolve_algorithm(self, algorithm: str, entry: DatasetEntry) -> str:
-        key = algorithm.lower()
-        if key == "auto":
-            key = choose_algorithm(entry.profile)
-            self.metrics.inc(f"service.auto.{key}")
-            return key
-        if key not in ALGORITHMS:
-            raise MiningError(
-                f"unknown algorithm {algorithm!r}; choose from "
-                f"{sorted(ALGORITHMS) + ['auto']}"
-            )
-        return key
+    def _serve_defaults(self, entry: DatasetEntry, fields: Dict) -> Dict:
+        """Fold the serve-level defaults into a query's config fields.
 
-    def _gpapriori_config(
-        self, options: Dict, entry: DatasetEntry
-    ) -> Tuple[GPAprioriConfig, Dict]:
-        """Split gpapriori options into a config and residual kwargs.
-
-        The registry's shard plan is folded in: a dataset flagged
-        out-of-core at load time mines under the device budget unless
-        the query explicitly configured its own sharding.
+        A dataset flagged out-of-core at load time mines under the
+        device budget unless the query set its own sharding; the
+        registry's layout and the serve-level fleet size apply unless
+        the query set its own. Folded in before the cache key is
+        computed, so spelled-out and defaulted queries share one entry.
         """
-        cfg_fields = {
-            k: v for k, v in options.items() if k in GPAprioriConfig.__dataclass_fields__
-        }
-        rest = {k: v for k, v in options.items() if k not in cfg_fields}
-        if (
-            entry.shard_plan is not None
-            and "shards" not in cfg_fields
-            and "memory_budget_bytes" not in cfg_fields
-        ):
-            cfg_fields["memory_budget_bytes"] = self.registry.device_budget_bytes
-        if "layout" not in cfg_fields and self.registry.layout != "dense":
-            cfg_fields["layout"] = self.registry.layout
-            if (
-                "dense_threshold" not in cfg_fields
-                and self.registry.dense_threshold is not None
-            ):
-                cfg_fields["dense_threshold"] = self.registry.dense_threshold
-        if (
-            self.devices
-            and cfg_fields.get("engine") == "multigpu"
-            and "devices" not in cfg_fields
-        ):
-            # the serve-level default fleet size, folded in before the
-            # cache key is computed so spelled-out and defaulted
-            # queries share one entry
-            cfg_fields["devices"] = self.devices
-        return GPAprioriConfig(**cfg_fields), rest
-
-    def _cache_key(
-        self, dataset: str, algorithm: str, options: Dict, entry: DatasetEntry
-    ) -> Hashable:
-        """Canonical (dataset, algorithm, option-signature) identity."""
-        if algorithm == "gpapriori":
-            config, rest = self._gpapriori_config(options, entry)
-            signature: Hashable = config.signature() + tuple(sorted(rest.items()))
-        else:
-            signature = tuple(sorted(options.items()))
-        return (dataset, algorithm, signature)
+        fields = dict(fields)
+        if entry.shard_plan is not None and "shards" not in fields:
+            fields.setdefault("memory_budget_bytes", self.registry.device_budget_bytes)
+        if "layout" not in fields and self.registry.layout != "dense":
+            fields["layout"] = self.registry.layout
+            if self.registry.dense_threshold is not None:
+                fields.setdefault("dense_threshold", self.registry.dense_threshold)
+        if self.devices and fields.get("engine") == "multigpu":
+            fields.setdefault("devices", self.devices)
+        return fields
 
     def _mine_cold(
         self,
         entry: DatasetEntry,
-        algorithm: str,
+        request: MiningRequest,
         abs_support: int,
-        max_k: Optional[int],
-        options: Dict,
         key: Hashable,
     ):
         """One scheduled cold mine; runs on a worker thread.
@@ -550,70 +484,57 @@ class MiningService:
         with span(
             "service.mine_cold",
             dataset=entry.name,
-            algorithm=algorithm,
+            algorithm=request.algorithm,
             abs_support=abs_support,
         ) as cold_span:
             try:
                 result = self.retry.call(
-                    lambda: self._run_mine(
-                        entry, algorithm, abs_support, max_k, options
-                    ),
+                    lambda: self._run_mine(entry, request, abs_support),
                     retry_on=(DeviceMemoryError,),
                     metrics=self.metrics,
                     site="device_memory",
                     attempts=2,
                 )
             except DeviceMemoryError as exc:
-                if algorithm != "gpapriori":
+                if request.algorithm != "gpapriori":
                     raise
-                result = self._mine_degraded(
-                    entry, abs_support, max_k, options, exc
-                )
+                result = self._mine_degraded(entry, request, abs_support, exc)
                 cold_span.set(degraded=True)
-        self.cache.store(key, result, abs_support, max_k)
+        self.cache.store(key, result, abs_support, request.max_k)
         self.metrics.observe("service.cold_seconds", time.perf_counter() - t0)
         return result
 
-    def _run_mine(
-        self,
-        entry: DatasetEntry,
-        algorithm: str,
-        abs_support: int,
-        max_k: Optional[int],
-        options: Dict,
-    ):
-        if algorithm == "gpapriori":
-            config, rest = self._gpapriori_config(options, entry)
-            kwargs = dict(rest, config=config)
+    def _run_mine(self, entry: DatasetEntry, request: MiningRequest, abs_support: int):
+        """Mine ``request`` on ``entry``, reusing its pinned layouts.
+
+        A GPApriori run gets the pinned matrix when its config is
+        aligned, and the pinned hybrid layout when its config asks for
+        a hybrid table at the threshold the registry built it with.
+        """
+        kwargs = request.runner_kwargs()
+        config = request.config
+        if config is not None:
             if config.aligned:
                 kwargs["matrix"] = entry.matrix
             if (
                 config.layout != "dense"
                 and entry.hybrid is not None
-                and (
-                    config.dense_threshold is None
-                    or config.dense_threshold == entry.hybrid.dense_threshold
-                )
+                and config.dense_threshold in (None, entry.hybrid.dense_threshold)
             ):
                 kwargs["hybrid"] = entry.hybrid
-        else:
-            kwargs = dict(options)
-        return mine(
-            entry.db, abs_support, algorithm=algorithm, max_k=max_k, **kwargs
-        )
+        return ALGORITHMS[request.algorithm].runner(entry.db, abs_support, **kwargs)
 
     def _mine_degraded(
         self,
         entry: DatasetEntry,
+        request: MiningRequest,
         abs_support: int,
-        max_k: Optional[int],
-        options: Dict,
         cause: DeviceMemoryError,
     ):
         """Re-mine under a halved, sharded memory budget after OOM."""
         from ..core.sharding import ShardPlan
 
-        config, rest = self._gpapriori_config(options, entry)
+        config = request.config
         base_budget = (
             config.memory_budget_bytes
             or self.registry.device_budget_bytes
@@ -625,7 +546,6 @@ class MiningService:
             ShardPlan.min_budget_for_matrix(entry.matrix),
             int(base_budget) // 2,
         )
-        degraded = config.with_(memory_budget_bytes=halved)
         record_degradation(
             self.metrics,
             site="service.mine_cold",
@@ -635,12 +555,8 @@ class MiningService:
             dataset=entry.name,
             memory_budget_bytes=halved,
         )
-        kwargs = dict(rest, config=degraded)
-        if degraded.aligned:
-            kwargs["matrix"] = entry.matrix
-        return mine(
-            entry.db, abs_support, algorithm="gpapriori", max_k=max_k, **kwargs
-        )
+        degraded = replace(request, config=config.with_(memory_budget_bytes=halved))
+        return self._run_mine(entry, degraded, abs_support)
 
     # -- persistence / maintenance ------------------------------------------
 

@@ -8,7 +8,7 @@ from repro.bitset.ops import and_rows
 from repro.bitset.hybrid import (
     HybridLayout,
     auto_dense_threshold,
-    choose_layout,
+    build_layout,
     count_cost_stats,
     densify_rows,
     hybrid_supports,
@@ -16,7 +16,6 @@ from repro.bitset.hybrid import (
 )
 from repro.core.sharding import ShardPlan
 from repro.datasets import TransactionDatabase
-from repro.datasets.characterize import profile_database
 from repro.errors import BitsetError
 
 
@@ -110,18 +109,20 @@ class TestAutoThreshold:
     def test_empty_database_does_not_divide_by_zero(self):
         assert auto_dense_threshold(0, 16) == 16.0
 
-    def test_choose_layout_uses_profile_density(self, db):
-        profile = profile_database(db)
-        expected = (
-            "hybrid"
-            if profile.density
-            < auto_dense_threshold(
-                profile.n_transactions,
-                BitsetMatrix.from_database(db).n_words,
-            )
-            else "dense"
+    def test_build_layout_modes(self, matrix):
+        assert build_layout(matrix, "dense") is None
+        auto = auto_dense_threshold(matrix.n_transactions, matrix.n_words)
+        hybrid = build_layout(matrix, "hybrid")
+        assert hybrid.dense_threshold == auto
+        assert np.array_equal(
+            hybrid.row_map, HybridLayout.from_matrix(matrix, auto).row_map
         )
-        assert choose_layout(profile) == expected
+        assert build_layout(matrix, "hybrid", 0.5).dense_threshold == 0.5
+        # "auto" keeps the classification only when it saves bytes:
+        # at threshold 0 every item stays dense and the row map costs
+        assert build_layout(matrix, "hybrid", 0.0).bytes_saved <= 0
+        assert build_layout(matrix, "auto", 0.0) is None
+        assert build_layout(matrix, "auto", 0.5).bytes_saved > 0
 
 
 class TestCounting:

@@ -139,11 +139,7 @@ class TestFaultDegradation:
                 ),
             )
         )
-        result = gpapriori_mine(
-            fleet_db,
-            4,
-            config=GPAprioriConfig(engine="multigpu", devices=4, faults=plan),
-        )
+        result = mine(fleet_db, 4, engine="multigpu", devices=4, faults=plan)
         assert result.as_dict() == reference.as_dict()
         reg = result.metrics.registry
         assert reg.gauge("fleet.devices_alive") == 3
@@ -160,11 +156,7 @@ class TestFaultDegradation:
                 ),
             )
         )
-        result = gpapriori_mine(
-            fleet_db,
-            4,
-            config=GPAprioriConfig(engine="multigpu", devices=3, faults=plan),
-        )
+        result = mine(fleet_db, 4, engine="multigpu", devices=3, faults=plan)
         assert result.as_dict() == reference.as_dict()
         assert result.metrics.counters["fleet.device_failures"] == 2
         assert result.metrics.registry.gauge("fleet.devices_alive") == 1
@@ -174,13 +166,7 @@ class TestFaultDegradation:
             (FaultSpec(site="fleet.submit", kind="device_oom", rate=1.0),)
         )
         with pytest.raises(DeviceMemoryError):
-            gpapriori_mine(
-                fleet_db,
-                4,
-                config=GPAprioriConfig(
-                    engine="multigpu", devices=2, faults=plan
-                ),
-            )
+            mine(fleet_db, 4, engine="multigpu", devices=2, faults=plan)
 
 
 class TestEntryPoints:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import GPAprioriConfig
-from repro.errors import ConfigError
+from repro.core.request import MiningRequest
+from repro.errors import ConfigError, MiningError
 from repro.faults import (
     FAULT_KINDS,
     FAULT_SITES,
@@ -95,19 +96,23 @@ class TestFaultPlan:
         assert hash(a) == hash(b)
         assert a != FaultPlan(specs=a.specs, seed=7)
 
-    def test_plan_changes_config_signature(self):
-        # The plan keys the service result cache via config.signature():
-        # a chaotic run must never serve its result to a clean query.
+    def test_plan_changes_request_signature(self):
+        # The plan is part of a request's identity (the service's cache
+        # key): a chaotic run must never serve its result to a clean query.
         plan = FaultPlan(
             specs=(FaultSpec(site="gpusim.alloc", kind="device_oom", on_nth=1),)
         )
-        clean = GPAprioriConfig()
-        chaotic = GPAprioriConfig(faults=plan)
+        clean = MiningRequest.build(0.5)
+        chaotic = MiningRequest.build(0.5, options={"faults": plan})
         assert clean.signature() != chaotic.signature()
 
     def test_config_rejects_non_plan(self):
-        with pytest.raises(ConfigError):
-            GPAprioriConfig(faults="gpusim.alloc:device_oom")
+        # faults= is a request option, not a GPAprioriConfig field, and
+        # a non-plan value is refused with a typed error
+        with pytest.raises(TypeError, match="faults"):
+            GPAprioriConfig(faults=FaultPlan())
+        with pytest.raises(MiningError, match="faults must be a"):
+            MiningRequest.build(0.5, options={"faults": "gpusim.alloc:device_oom"})
 
 
 class TestParseFaultSpec:

@@ -314,7 +314,6 @@ class TestOtherCommands:
             "trace_accesses",
             "shards",
             "memory_budget_bytes",
-            "faults",
             "layout",
             "dense_threshold",
             "devices",

@@ -182,12 +182,12 @@ class TestInjectedFaults:
         with pytest.raises(GpuSimError, match="injected transfer error"):
             mine(small_db, 8, engine="simulated", faults=plan)
 
-    def test_plan_via_config_equivalent_to_kwarg(self, small_db):
+    def test_plan_alongside_config_object(self, small_db):
         plan = FaultPlan(
             specs=(FaultSpec(site="gpusim.dtoh", kind="transfer_error", on_nth=1),)
         )
         with pytest.raises(GpuSimError, match="injected"):
-            mine(small_db, 8, config=GPAprioriConfig(engine="simulated", faults=plan))
+            mine(small_db, 8, config=GPAprioriConfig(engine="simulated"), faults=plan)
 
     def test_unvisited_site_leaves_result_untouched(self, small_db):
         # vectorized counting never touches simulator memory, so a

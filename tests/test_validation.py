@@ -8,6 +8,8 @@ from repro._validation import (
     check_positive_int,
     check_support,
 )
+from repro.core.api import ALGORITHMS, mine
+from repro.datasets import TransactionDatabase
 from repro.errors import DatasetError, MiningError, ReproError
 
 
@@ -110,3 +112,16 @@ class TestCheckSupport:
 
     def test_empty_database_absolute(self):
         assert check_support(5, 0, MiningError) == 5
+
+
+@pytest.mark.parametrize("max_k", [2.5, True])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_algorithm_refuses_a_non_int_max_k(algorithm, max_k):
+    # every 3-itemset of this database is frequent at 2, so a float cap
+    # of 2.5 used to return 3-itemsets from some miners and not others,
+    # and True acted as a cap of 1
+    db = TransactionDatabase([[0, 1, 2, 3]] * 3)
+    with pytest.raises(MiningError, match="max_k must be an int"):
+        mine(db, 2, algorithm=algorithm, max_k=max_k)
+    with pytest.raises(MiningError, match="max_k must be an int"):
+        ALGORITHMS[algorithm].runner(db, 2, max_k=max_k)
