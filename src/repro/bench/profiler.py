@@ -263,7 +263,7 @@ def profile_mine(
         result = mine(db, min_support, algorithm="gpapriori", config=config, max_k=max_k)
     spans = [s.to_dict() for s in tracer.finished()]
     registry = result.metrics.registry
-    counters = dict(registry.counters)
+    counters = registry.counters
 
     transpose = next((s for s in spans if s["name"] == "transpose"), None)
     n_words = int(transpose["attrs"].get("n_words", 0)) if transpose else 0

@@ -171,7 +171,6 @@ def hybrid_mine(
 
     result = MiningResult.from_levels(levels, db.n_transactions, min_count, metrics)
     # expose the split history for benches/tests
-    counters = result.metrics.counters
-    counters["generations_on_gpu_only"] = sum(1 for n, g in splits if g == n and n)
-    counters["generations_on_cpu_only"] = sum(1 for n, g in splits if g == 0 and n)
+    metrics.add_counter("generations_on_gpu_only", sum(1 for n, g in splits if g == n and n))
+    metrics.add_counter("generations_on_cpu_only", sum(1 for n, g in splits if g == 0 and n))
     return result

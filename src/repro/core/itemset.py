@@ -60,13 +60,13 @@ class RunMetrics:
     :mod:`repro.gpusim.perfmodel` — the basis of the paper-comparable
     Figure 6 speedups (see EXPERIMENTS.md for the distinction).
 
-    Counter storage lives in a :class:`repro.obs.MetricsRegistry` —
-    the single accounting store shared with the tracing subsystem and
-    the simulator's kernel/transfer stats — and ``counters`` is a live
-    view of that registry, so existing dict-style access keeps working.
-    ``generations`` (candidate count per generation, k = 1, 2, ...) is
-    the single source of truth that the simulator's ``KernelStats``
-    shares by reference rather than re-recording.
+    Counts live in a :class:`repro.obs.MetricsRegistry`, the one store
+    the engines' kernel, coalescing and transfer counters also go to;
+    ``counters`` is a copy of its unlabeled counters. Engines that run
+    side by side (a fleet's devices) each take a ``RunMetrics`` of
+    their own over the run's registry: their counters add into the run,
+    their modeled seconds stay their own. ``generations`` holds the
+    candidate count per generation, k = 1, 2, ...
     """
 
     def __init__(
@@ -90,7 +90,7 @@ class RunMetrics:
 
     @property
     def counters(self) -> Dict[str, int]:
-        """Live counter mapping backed by :attr:`registry`."""
+        """A copy of :attr:`registry`'s counters; add with :meth:`add_counter`."""
         return self.registry.counters
 
     def add_counter(self, name: str, amount: int) -> None:
@@ -99,7 +99,6 @@ class RunMetrics:
     def add_modeled(self, name: str, seconds: float) -> None:
         self.modeled_breakdown[name] = self.modeled_breakdown.get(name, 0.0) + seconds
         self.modeled_seconds = (self.modeled_seconds or 0.0) + seconds
-        self.registry.observe(f"modeled.{name}", seconds)
 
     def __repr__(self) -> str:
         return (
@@ -386,7 +385,7 @@ class MiningResult:
                 wall_seconds=self.metrics.wall_seconds,
                 modeled_seconds=self.metrics.modeled_seconds,
                 generations=list(self.metrics.generations),
-                counters=dict(self.metrics.counters),
+                counters=self.metrics.counters,
             )
         return doc
 

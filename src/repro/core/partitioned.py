@@ -25,10 +25,12 @@ config therefore makes every fleet member a :class:`ShardedEngine`.
 
 Their modeled clocks differ. Shards re-stream their slabs every
 counting round after the first, double-buffered, and only the exposed
-transfer is charged as ``htod_shard_stream``. The fleet charges each
+transfer is charged as ``htod_shard_stream``. The fleet prices each
 device its blocks' fixed cost (candidate upload, launch, support
-download); a generation's makespan is the slowest device's total,
-published as ``fleet_makespan``.
+download); a generation's makespan is the slowest device's total. Each
+device charges its own ``RunMetrics`` over the run's registry, so its
+counters add into the run while the run's modeled time is the fleet's
+makespan alone, published as ``fleet_makespan``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from ..faults.injection import fault_point
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..obs import span
 from .config import GPAprioriConfig
+from .itemset import RunMetrics
 from .sharding import Shard, ShardPlan, slice_matrix
 from .support import SupportEngine, make_engine, price_batch
 
@@ -64,8 +67,9 @@ def resolve_devices(devices: int) -> int:
 class PartitionedEngine(SupportEngine):
     """Member engines over pieces of one table whose supports add.
 
-    A subclass sets ``member_config`` and ``member_device`` and defines
-    ``_pieces(matrix, hybrid)``, which returns the install span's
+    A subclass sets ``member_config`` and ``member_device``, may
+    override ``_member_metrics()`` (the run's metrics by default), and
+    defines ``_pieces(matrix, hybrid)``, which returns the install span's
     attributes and, per member, ``(span tags, piece span attributes,
     matrix, hybrid)``; ``_installed()``, which records what setup
     installed; and ``_add_supports(kind, batch, out)``, which counts a
@@ -92,7 +96,9 @@ class PartitionedEngine(SupportEngine):
         install, pieces = self._pieces(matrix, hybrid)
         with span("transfer", **install):
             for tags, attrs, piece, piece_hybrid in pieces:
-                engine = make_engine(self.member_config, self.metrics, self.member_device)
+                engine = make_engine(
+                    self.member_config, self._member_metrics(), self.member_device
+                )
                 # merge rather than assign: a sharded fleet member tags
                 # its launches with both its device and its shard
                 engine.span_attrs = {**self.span_attrs, **tags}
@@ -100,6 +106,10 @@ class PartitionedEngine(SupportEngine):
                     engine.setup(piece, hybrid=piece_hybrid)
                 self.engines.append(engine)
         self._installed()
+
+    def _member_metrics(self) -> RunMetrics:
+        """The metrics a new member charges."""
+        return self.metrics
 
     def finalize(self) -> None:
         """Finalize every member (their stats are additive)."""
@@ -321,6 +331,11 @@ class FleetEngine(PartitionedEngine):
             return self.engines[0].plan
         return None
 
+    def _member_metrics(self) -> RunMetrics:
+        # devices run side by side: their counters add into the run's
+        # registry, but their modeled seconds are not the run's time
+        return RunMetrics(self.metrics.algorithm, registry=self.metrics.registry)
+
     def _replica_bytes(self) -> int:
         """Device-resident bytes of one full replica of the table."""
         hybrid = self._hybrid
@@ -362,7 +377,7 @@ class FleetEngine(PartitionedEngine):
         reg.set_gauge("fleet.devices_alive", sum(self.alive))
         reg.set_gauge("fleet.makespan_seconds", self._makespan_seconds)
         reg.set_gauge("fleet.single_device_seconds", self._single_device_seconds)
-        # on the breakdown so wrappers and reports can read it back
+        # the run's whole modeled time: the devices' own charges stay theirs
         self.metrics.add_modeled("fleet_makespan", self._makespan_seconds)
 
     def _retire_device(self, d: int, exc: BaseException) -> None:

@@ -49,7 +49,6 @@ from ..bitset.ops import and_rows, support_words
 from ..errors import BitsetError, ConfigError, DeviceMemoryError, MiningError
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..gpusim.perfmodel import GpuCostModel
-from ..gpusim.stats import CoalescingStats, KernelStats
 from ..obs import span
 from .config import GPAprioriConfig
 from .itemset import RunMetrics
@@ -178,10 +177,6 @@ class SupportEngine:
         self.metrics = metrics
         self.device = device
         self.cost = GpuCostModel(device)
-        self.kernel_stats = KernelStats()
-        # RunMetrics.generations is the single source of truth for
-        # per-generation candidate counts; the stats share the list.
-        self.kernel_stats.bind_generations(metrics.generations)
         self._matrix: Optional[BitsetMatrix] = None
         self._hybrid: Optional[HybridLayout] = None
         # Extra attributes merged into every kernel_launch span. The
@@ -238,8 +233,7 @@ class SupportEngine:
         self.metrics.add_counter("bitset_bytes_device", nbytes)
 
     def finalize(self) -> None:
-        """Publish accumulated kernel stats into the metric registry."""
-        self.kernel_stats.publish(self.metrics.registry)
+        """Publish end-of-run figures into the metric registry (none here)."""
 
     def close(self) -> None:
         """Release host resources (threads); idempotent, and a no-op here."""
@@ -437,7 +431,6 @@ class SimulatedEngine(SupportEngine):
         self._prefix_buf = None  # None = use gen-1 bitsets
         self._pending_buf = None
         self.last_trace = None
-        self.coalescing_stats = CoalescingStats()
 
     def setup(
         self,
@@ -513,7 +506,8 @@ class SimulatedEngine(SupportEngine):
 
     def _launch(self, kernel, m: int, k: int, args: tuple) -> None:
         """Run ``kernel`` over one ``m``-block chunk of ``k``-item
-        candidates; record its access trace and launch stats."""
+        candidates; record its access trace and add its launch figures
+        to the run's ``kernel.*`` and ``coalescing.*`` counters."""
         from ..gpusim.kernel import LaunchConfig
 
         result = launch_kernel(
@@ -524,15 +518,20 @@ class SimulatedEngine(SupportEngine):
             trace=self.config.trace_accesses,
         )
         self.last_trace = result.trace
+        add = self.metrics.add_counter
+        add("kernel.launches", 1)
+        add("kernel.blocks", m)
+        add("kernel.threads", m * result.config.block_dim)
+        add("kernel.barriers", result.barriers)
+        add("kernel.candidate_words", m * k * self.n_words)  # words AND-ed
+        add("kernel.popcounts", m * self.n_words)
         if result.trace:
-            self.coalescing_stats.record(self.coalescing_report())
-        self.kernel_stats.record_launch(
-            blocks=m,
-            threads_per_block=result.config.block_dim,
-            barriers=result.barriers,
-            candidate_words=m * k * self.n_words,
-            popcounts=m * self.n_words,
-        )
+            report = self.coalescing_report()
+            add("coalescing.launches", 1)
+            add("coalescing.accesses", report.n_accesses)
+            add("coalescing.transactions", report.n_transactions)
+            add("coalescing.bytes_requested", report.bytes_requested)
+            add("coalescing.bytes_transferred", report.bytes_transferred)
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
         from .kernels import hybrid_support_count_kernel, support_count_kernel
@@ -707,11 +706,8 @@ class SimulatedEngine(SupportEngine):
         self.metrics.add_counter("prefix_rows_resident_bytes", int(kept.nbytes))
 
     def finalize(self) -> None:
-        """Publish kernel *and* PCIe transfer stats into the registry."""
-        super().finalize()
+        """Publish the PCIe transfer totals and resident device bytes."""
         self.memory.stats.publish(self.metrics.registry)
-        if self.coalescing_stats.launches:
-            self.coalescing_stats.publish(self.metrics.registry)
         self.metrics.registry.set_gauge(
             "device_bytes_in_use", self.memory.bytes_in_use
         )

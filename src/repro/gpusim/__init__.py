@@ -47,6 +47,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".bankconflict": ("bank_of", "conflict_degree", "reduction_conflicts"),
         ".occupancy": ("OccupancyResult", "occupancy", "best_block_size"),
         ".perfmodel": ("CpuCostModel", "GpuCostModel", "KernelCost", "TransferCost"),
-        ".stats": ("KernelStats", "CoalescingStats"),
     },
 )

@@ -1,12 +1,10 @@
 """Unified counters, gauges, and histograms for mining runs.
 
-Before this module existed the repo kept three independent accounting
-systems: ``RunMetrics.counters`` (ad-hoc dict), ``KernelStats``
-(simulator launch totals) and per-baseline hand-rolled timers. The
-:class:`MetricsRegistry` is the single store they all feed:
-``RunMetrics`` delegates its counters here, and the simulator's kernel
-and transfer stats are published into the same registry at the end of a
-run, so one snapshot describes everything that happened.
+The :class:`MetricsRegistry` is the one store every count lives in:
+``RunMetrics`` delegates its counters here, the simulated engine adds
+its ``kernel.*`` and ``coalescing.*`` counters as it launches, and the
+service records its request metrics into its own registry, so one
+snapshot describes everything that happened.
 
 The registry is also what the live service exports: every counter,
 gauge, and histogram renders to Prometheus text exposition through
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["BUCKET_BOUNDS", "HistogramSummary", "LabelKey", "MetricsRegistry"]
 
@@ -30,10 +28,9 @@ BUCKET_BOUNDS: Tuple[float, ...] = tuple(2.0**e for e in range(-30, 21))
 
 Spanning ~1 ns to ~1 M (seconds, mostly — the registry's histograms
 record durations and modeled costs), with one implicit overflow bucket
-above the last bound. *Fixed* bounds are the point: two histograms
-observed independently (per-run registries, worker threads) merge
-exactly by adding bucket counts, which a quantile sketch with adaptive
-bounds cannot guarantee.
+above the last bound. *Fixed* bounds put every exported histogram on
+one grid, so a Prometheus scraper can add bucket counts across series
+and scrapes, and quantiles need no stored observations.
 """
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -53,8 +50,7 @@ class HistogramSummary:
     mining pipeline has always used, plus per-bucket counts over the
     fixed :data:`BUCKET_BOUNDS` grid so latency quantiles (p50 / p90 /
     p99) can be estimated and exported live. Observation is O(log
-    buckets); merging is exact because every instance shares the same
-    bounds.
+    buckets).
 
     >>> h = HistogramSummary()
     >>> for v in (1.0, 2.0, 3.0, 4.0):
@@ -64,16 +60,6 @@ class HistogramSummary:
     (4, 10.0, 1.0, 4.0)
     >>> d["sum"] / d["count"] == d["mean"]
     True
-
-    ``sum`` is what lets merged means be re-derived downstream — two
-    summaries' means cannot be combined, but their sums and counts can:
-
-    >>> a, b = HistogramSummary(), HistogramSummary()
-    >>> a.observe(1.0); b.observe(3.0)
-    >>> merged = HistogramSummary()
-    >>> merged.merge(a); merged.merge(b)
-    >>> merged.as_dict()["sum"] / merged.as_dict()["count"]
-    2.0
     """
 
     __slots__ = ("count", "total", "min", "max", "buckets")
@@ -104,14 +90,6 @@ class HistogramSummary:
     def sum(self) -> float:
         """Alias of ``total`` under Prometheus' conventional name."""
         return self.total
-
-    def merge(self, other: "HistogramSummary") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
 
     # -- quantiles ----------------------------------------------------------
 
@@ -154,7 +132,7 @@ class HistogramSummary:
 
         The final pair's bound is ``float("inf")`` and its count equals
         :attr:`count`. Empty trailing buckets are included — exposition
-        needs the full fixed grid to stay mergeable across scrapes.
+        needs the full fixed grid to stay additive across scrapes.
         """
         cumulative = 0
         out = []
@@ -187,25 +165,34 @@ class MetricsRegistry:
       (``bitset_words_anded``, ``kernel.launches``);
     * **gauges** — last-written values (``device_bytes_in_use``);
     * **histograms** — :class:`HistogramSummary` of repeated
-      observations (per-launch modeled seconds, query latencies).
+      observations (shard stream seconds, query latencies).
 
-    Each kind optionally takes a ``labels`` mapping — ``inc
-    ("http.requests", labels={"path": "/mine", "status": "200"})``
-    keeps one counter per label set under the shared name, which the
-    Prometheus exposition renders as one labeled sample per set.
-    Unlabeled metrics keep their original flat storage (and the live
-    ``counters`` dict view that ``RunMetrics`` shares).
+    Each kind keeps one table keyed by ``(name, label key)``. A
+    ``labels`` mapping picks one series of a name — ``inc
+    ("http.requests", labels={"path": "/mine", "status": "200"})`` —
+    and the unlabeled series sits under the empty key ``()``. The
+    Prometheus exposition renders each series as one sample:
+
+    >>> reg = MetricsRegistry()
+    >>> reg.inc("http.requests")
+    1
+    >>> reg.inc("http.requests", 2, labels={"status": "200"})
+    2
+    >>> snap = reg.snapshot()
+    >>> snap["counters"]
+    {'http.requests': 1}
+    >>> snap["labeled"]["counters"]
+    {'http.requests': {'status="200"': 2}}
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, HistogramSummary] = {}
-        # name -> label-key -> value, for the labeled variants
-        self._labeled_counters: Dict[str, Dict[LabelKey, int]] = {}
-        self._labeled_gauges: Dict[str, Dict[LabelKey, float]] = {}
-        self._labeled_histograms: Dict[str, Dict[LabelKey, HistogramSummary]] = {}
+        self._tables: Dict[str, Dict[Tuple[str, LabelKey], object]] = {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
+        self._counters = self._tables["counters"]
+        self._gauges = self._tables["gauges"]
+        self._histograms = self._tables["histograms"]
 
     # -- counters ---------------------------------------------------------------
 
@@ -216,27 +203,20 @@ class MetricsRegistry:
         labels: Optional[Mapping[str, object]] = None,
     ) -> int:
         """Add ``amount`` to a counter; returns the new value."""
-        if labels:
-            key = _label_key(labels)
-            with self._lock:
-                family = self._labeled_counters.setdefault(name, {})
-                value = family.get(key, 0) + int(amount)
-                family[key] = value
-            return value
+        key = (name, _label_key(labels))
         with self._lock:
-            value = self._counters.get(name, 0) + int(amount)
-            self._counters[name] = value
+            value = self._counters.get(key, 0) + int(amount)
+            self._counters[key] = value
         return value
 
     def counter(self, name: str, labels: Optional[Mapping[str, object]] = None) -> int:
-        if labels:
-            return self._labeled_counters.get(name, {}).get(_label_key(labels), 0)
-        return self._counters.get(name, 0)
+        return self._counters.get((name, _label_key(labels)), 0)
 
     @property
     def counters(self) -> Dict[str, int]:
-        """The live counter mapping (shared with ``RunMetrics.counters``)."""
-        return self._counters
+        """A copy of the unlabeled counters; add to them with :meth:`inc`."""
+        with self._lock:
+            return _unlabeled(self._counters)
 
     # -- gauges -------------------------------------------------------------------
 
@@ -246,11 +226,9 @@ class MetricsRegistry:
         value: float,
         labels: Optional[Mapping[str, object]] = None,
     ) -> None:
+        key = (name, _label_key(labels))
         with self._lock:
-            if labels:
-                self._labeled_gauges.setdefault(name, {})[_label_key(labels)] = value
-            else:
-                self._gauges[name] = value
+            self._gauges[key] = value
 
     def gauge(
         self,
@@ -258,13 +236,13 @@ class MetricsRegistry:
         default: float = 0.0,
         labels: Optional[Mapping[str, object]] = None,
     ) -> float:
-        if labels:
-            return self._labeled_gauges.get(name, {}).get(_label_key(labels), default)
-        return self._gauges.get(name, default)
+        return self._gauges.get((name, _label_key(labels)), default)
 
     @property
     def gauges(self) -> Dict[str, float]:
-        return self._gauges
+        """A copy of the unlabeled gauges; write them with :meth:`set_gauge`."""
+        with self._lock:
+            return _unlabeled(self._gauges)
 
     # -- histograms ----------------------------------------------------------------
 
@@ -274,129 +252,62 @@ class MetricsRegistry:
         value: float,
         labels: Optional[Mapping[str, object]] = None,
     ) -> None:
+        key = (name, _label_key(labels))
         # The summary update must happen inside the lock: two racing
         # observers could otherwise interleave count/total/bucket
         # writes and lose observations.
         with self._lock:
-            if labels:
-                family = self._labeled_histograms.setdefault(name, {})
-                key = _label_key(labels)
-                hist = family.get(key)
-                if hist is None:
-                    hist = family[key] = HistogramSummary()
-            else:
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = HistogramSummary()
+            hist = self._histograms.get(key)
+            if hist is None:
+                hist = self._histograms[key] = HistogramSummary()
             hist.observe(value)
 
     def histogram(
         self, name: str, labels: Optional[Mapping[str, object]] = None
     ) -> HistogramSummary | None:
-        if labels:
-            return self._labeled_histograms.get(name, {}).get(_label_key(labels))
-        return self._histograms.get(name)
+        return self._histograms.get((name, _label_key(labels)))
 
-    def histograms(self) -> Iterable[Tuple[str, HistogramSummary]]:
-        return list(self._histograms.items())
+    # -- whole tables ----------------------------------------------------------------
 
-    # -- labeled access -----------------------------------------------------------
+    def table(self, kind: str) -> List[Tuple[Tuple[str, LabelKey], object]]:
+        """Copy of one table, ``kind`` in counters/gauges/histograms.
 
-    def labeled(self, kind: str) -> Dict[str, Dict[LabelKey, object]]:
-        """Copy of one labeled store: ``kind`` in counters/gauges/histograms."""
-        store = {
-            "counters": self._labeled_counters,
-            "gauges": self._labeled_gauges,
-            "histograms": self._labeled_histograms,
-        }[kind]
+        Each ``((name, label key), value)`` pair is one series, in the
+        order the series first appeared; histogram values are the live
+        :class:`HistogramSummary` objects.
+        """
         with self._lock:
-            return {name: dict(family) for name, family in store.items()}
-
-    # -- aggregation ----------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (counters add, gauges
-        overwrite, histograms merge)."""
-        # Snapshot the source under its own lock so a registry that is
-        # still being written to merges a consistent view.
-        with other._lock:
-            counters = dict(other._counters)
-            gauges = dict(other._gauges)
-            histograms = []
-            for name, hist in other._histograms.items():
-                frozen = HistogramSummary()
-                frozen.merge(hist)
-                histograms.append((name, frozen))
-            labeled_counters = {
-                name: dict(family) for name, family in other._labeled_counters.items()
-            }
-            labeled_gauges = {
-                name: dict(family) for name, family in other._labeled_gauges.items()
-            }
-            labeled_histograms = []
-            for name, family in other._labeled_histograms.items():
-                for key, hist in family.items():
-                    frozen = HistogramSummary()
-                    frozen.merge(hist)
-                    labeled_histograms.append((name, key, frozen))
-        for name, amount in counters.items():
-            self.inc(name, amount)
-        for name, value in gauges.items():
-            self.set_gauge(name, value)
-        for name, hist in histograms:
-            with self._lock:
-                mine = self._histograms.get(name)
-                if mine is None:
-                    mine = self._histograms[name] = HistogramSummary()
-                mine.merge(hist)
-        with self._lock:
-            for name, family in labeled_counters.items():
-                target = self._labeled_counters.setdefault(name, {})
-                for key, amount in family.items():
-                    target[key] = target.get(key, 0) + amount
-            for name, family in labeled_gauges.items():
-                self._labeled_gauges.setdefault(name, {}).update(family)
-            for name, key, hist in labeled_histograms:
-                family = self._labeled_histograms.setdefault(name, {})
-                mine = family.get(key)
-                if mine is None:
-                    mine = family[key] = HistogramSummary()
-                mine.merge(hist)
+            return list(self._tables[kind].items())
 
     def snapshot(self) -> Dict[str, Dict]:
         """JSON-ready copy of everything the registry holds.
 
-        Labeled families appear under ``labeled`` keyed by metric name,
-        each label set rendered as a ``k="v",...`` string.
+        Labeled series appear under ``labeled`` keyed by kind and metric
+        name, each label set rendered as a ``k="v",...`` string.
         """
+        doc: Dict[str, Dict] = {}
+        labeled: Dict[str, Dict] = {}
         with self._lock:
-            doc: Dict[str, Dict] = {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {n: h.as_dict() for n, h in self._histograms.items()},
-            }
-            labeled: Dict[str, Dict] = {}
-            for kind, store in (
-                ("counters", self._labeled_counters),
-                ("gauges", self._labeled_gauges),
-                ("histograms", self._labeled_histograms),
-            ):
-                for name, family in store.items():
-                    rendered = {}
-                    for key, value in family.items():
-                        label_str = ",".join(f'{k}="{v}"' for k, v in key)
-                        rendered[label_str] = (
-                            value.as_dict()
-                            if isinstance(value, HistogramSummary)
-                            else value
-                        )
-                    labeled.setdefault(kind, {})[name] = rendered
-            if labeled:
-                doc["labeled"] = labeled
-            return doc
+            for kind, table in self._tables.items():
+                doc[kind] = {}
+                for (name, key), value in table.items():
+                    if isinstance(value, HistogramSummary):
+                        value = value.as_dict()
+                    if not key:
+                        doc[kind][name] = value
+                        continue
+                    label_str = ",".join(f'{k}="{v}"' for k, v in key)
+                    labeled.setdefault(kind, {}).setdefault(name, {})[label_str] = value
+        if labeled:
+            doc["labeled"] = labeled
+        return doc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
             f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )
+
+
+def _unlabeled(table: Dict[Tuple[str, LabelKey], object]) -> Dict[str, object]:
+    return {name: value for (name, key), value in table.items() if not key}

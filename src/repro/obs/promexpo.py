@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import groupby
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .metrics import HistogramSummary, MetricsRegistry
@@ -103,44 +104,23 @@ def _render_histogram(
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry as one exposition document (ends with a newline)."""
     lines: List[str] = []
-    snap = registry.snapshot()
-    labeled_counters = registry.labeled("counters")
-    labeled_gauges = registry.labeled("gauges")
-    labeled_histograms = registry.labeled("histograms")
-
-    counter_names = sorted(set(snap["counters"]) | set(labeled_counters))
-    for raw in counter_names:
-        name = sanitize_name(raw)
-        lines.append(f"# TYPE {name} counter")
-        if raw in snap["counters"]:
-            lines.append(f"{name} {_format_value(snap['counters'][raw])}")
-        for key, value in sorted(labeled_counters.get(raw, {}).items()):
-            lines.append(f"{name}{_labels_str(key)} {_format_value(value)}")
-
-    gauge_names = sorted(set(snap["gauges"]) | set(labeled_gauges))
-    for raw in gauge_names:
-        name = sanitize_name(raw)
-        lines.append(f"# TYPE {name} gauge")
-        if raw in snap["gauges"]:
-            lines.append(f"{name} {_format_value(snap['gauges'][raw])}")
-        for key, value in sorted(labeled_gauges.get(raw, {}).items()):
-            lines.append(f"{name}{_labels_str(key)} {_format_value(value)}")
-
-    hist_names = sorted(
-        {n for n, _ in registry.histograms()} | set(labeled_histograms)
-    )
-    for raw in hist_names:
-        name = sanitize_name(raw)
-        lines.append(f"# TYPE {name} histogram")
-        unlabeled = registry.histogram(raw)
-        if unlabeled is not None:
-            _render_histogram(lines, name, unlabeled)
-        for key, hist in sorted(labeled_histograms.get(raw, {}).items()):
-            _render_histogram(lines, name, hist, key)
-        # server-side quantiles as companion gauges
-        source = unlabeled
-        if source is not None and source.count:
-            for pname, pvalue in source.percentiles().items():
+    kinds = (("counters", "counter"), ("gauges", "gauge"), ("histograms", "histogram"))
+    for kind, type_ in kinds:
+        # sorted by (name, label key): a name's unlabeled series first
+        series = sorted(registry.table(kind), key=lambda s: s[0])
+        for raw, family in groupby(series, key=lambda s: s[0][0]):
+            name = sanitize_name(raw)
+            lines.append(f"# TYPE {name} {type_}")
+            quantiles: Dict[str, float] = {}
+            for (_, key), value in family:
+                if kind != "histograms":
+                    lines.append(f"{name}{_labels_str(key)} {_format_value(value)}")
+                    continue
+                _render_histogram(lines, name, value, key)
+                if not key and value.count:
+                    quantiles = value.percentiles()
+            # server-side quantiles of the unlabeled series as companion gauges
+            for pname, pvalue in quantiles.items():
                 qname = f"{name}_{pname}"
                 lines.append(f"# TYPE {qname} gauge")
                 lines.append(f"{qname} {_format_value(pvalue)}")

@@ -283,7 +283,7 @@ class MiningService:
         # thread.
         outer = current_tracer()
         query_tracer = Tracer()
-        counters_before = dict(self.metrics.counters)
+        counters_before = self.metrics.counters
         self.metrics.inc("service.queries")
         state: Dict = {
             "algorithm": algorithm,
@@ -387,7 +387,7 @@ class MiningService:
         spans = [s.to_dict() for s in query_tracer.finished()]
         if outer is not None:
             outer.adopt(spans)
-        counters_after = dict(self.metrics.counters)
+        counters_after = self.metrics.counters
         delta = {
             name: value - counters_before.get(name, 0)
             for name, value in counters_after.items()

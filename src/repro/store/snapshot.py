@@ -5,10 +5,10 @@ identity that affects results — ``(dataset, algorithm, signature)``
 where the signature is a nested tuple of primitive option values. JSON
 has no tuple, so keys round-trip through a tagged encoding: every tuple
 becomes ``{"t": [...]}`` and everything else must already be a JSON
-primitive. An entry whose key fails to decode (or whose signature shape
-is from an older build) is *skipped*, never guessed at — a snapshot can
-only ever re-create entries whose identity is exactly what the running
-service would compute.
+primitive. An entry whose key fails to decode, or that no current query
+produces (its signature shape is from an older build), is *skipped*,
+never guessed at — a snapshot can only ever re-create entries whose
+identity is exactly what the running service would compute.
 
 TTL survives the restart: each entry is stored with its age at snapshot
 time, and :meth:`~repro.service.cache.ResultCache.restore` backdates the
@@ -27,7 +27,8 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from ..core.itemset import MiningResult
-from ..errors import MiningError, StoreCorruptError
+from ..core.request import MiningRequest
+from ..errors import MiningError, ReproError, StoreCorruptError
 
 if TYPE_CHECKING:  # circular at runtime: service.service imports repro.store
     from ..service.cache import ResultCache
@@ -56,6 +57,16 @@ def _decode_key(doc):
     if doc is None or isinstance(doc, (bool, int, float, str)):
         return doc
     raise ValueError(f"bad key element {doc!r}")
+
+
+def _current_key(key) -> bool:
+    """Whether ``key`` is the signature of the query it spells today."""
+    try:
+        dataset, algorithm, options = key
+        request = MiningRequest.build(1, algorithm, dataset, options=dict(options))
+        return request.signature() == key
+    except (ReproError, TypeError, ValueError):
+        return False
 
 
 def snapshot_result_cache(cache: ResultCache, path) -> int:
@@ -107,7 +118,9 @@ def restore_result_cache(cache: ResultCache, path) -> int:
 
     Only unexpired, signature-valid entries come back: each entry is
     backdated by its snapshot-time age, entries past TTL are dropped,
-    and entries whose key fails to decode are skipped. A missing file
+    and entries whose key fails to decode, or differs from what
+    :meth:`~repro.core.request.MiningRequest.signature` builds for the
+    dataset, algorithm and options it spells, are skipped. A missing file
     restores nothing (cold start); a malformed file raises
     :class:`~repro.errors.StoreCorruptError` so callers can log and
     fall back to cold rather than trust partial state.
@@ -136,6 +149,8 @@ def restore_result_cache(cache: ResultCache, path) -> int:
             result = MiningResult.from_dict(entry["result"])
         except (KeyError, TypeError, ValueError, MiningError):
             continue  # signature-invalid entry: skip, never guess
+        if not _current_key(key):
+            continue  # no current query produces this key: it would never hit
         if cache.restore(key, result, abs_support, max_k, age_seconds=age):
             restored += 1
     return restored

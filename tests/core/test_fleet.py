@@ -74,6 +74,29 @@ class TestConfigWiring:
         assert result.metrics.modeled_breakdown["fleet_makespan"] > 0
 
 
+class TestModeledTime:
+    """A fleet run's modeled time is its makespan, not the sum of devices."""
+
+    def test_one_device_prices_like_one_engine(self, fleet_db):
+        ref = gpapriori_mine(fleet_db, 4).metrics
+        got = gpapriori_mine(
+            fleet_db, 4, config=GPAprioriConfig(engine="multigpu", devices=1)
+        ).metrics
+        assert got.modeled_seconds == pytest.approx(ref.modeled_seconds)
+
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_modeled_seconds_is_the_makespan(self, fleet_db, devices):
+        metrics = gpapriori_mine(
+            fleet_db, 4, config=GPAprioriConfig(engine="multigpu", devices=devices)
+        ).metrics
+        assert metrics.modeled_breakdown == {
+            "fleet_makespan": metrics.registry.gauge("fleet.makespan_seconds")
+        }
+        assert metrics.modeled_seconds == metrics.modeled_breakdown["fleet_makespan"]
+        # the devices' counters still add into the run's registry
+        assert metrics.counters["kernel.launches"] >= devices
+
+
 class TestFleetPlan:
     def test_resident_replica(self, fleet_db):
         engine = make_engine(

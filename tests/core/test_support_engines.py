@@ -200,7 +200,7 @@ class TestSimulatedDeviceLimits:
             [[i, j] for i in range(12) for j in range(i + 1, 12)], dtype=np.int32
         )
         got = eng.count_complete(cands)
-        assert eng.kernel_stats.launches > 1, "memory pressure must chunk"
+        assert eng.metrics.counters["kernel.launches"] > 1, "memory pressure must chunk"
         want = [small_db.support(c) for c in cands]
         assert got.tolist() == want
 
@@ -211,9 +211,10 @@ class TestSimulatedDeviceLimits:
         )
         eng.setup(matrix)
         eng.count_complete(np.array([[3, 4], [1, 2]]))
-        assert eng.kernel_stats.launches == 1
-        assert eng.kernel_stats.blocks == 2
-        assert eng.kernel_stats.barriers > 0
+        counters = eng.metrics.counters
+        assert counters["kernel.launches"] == 1
+        assert counters["kernel.blocks"] == 2
+        assert counters["kernel.barriers"] > 0
 
 
 def _device(capacity):
@@ -308,7 +309,7 @@ class TestExtendChunking:
         roomy = _sim_engine(small_db)
         want = roomy.count_extend(ALL_PAIRS)
         got = tight.count_extend(ALL_PAIRS)
-        assert tight.kernel_stats.launches > 1, "memory pressure must chunk"
+        assert tight.metrics.counters["kernel.launches"] > 1, "memory pressure must chunk"
         assert np.array_equal(got, want)
         # the chunked prefix cache must behave exactly like the whole one:
         keep = np.arange(0, ALL_PAIRS.shape[0], 3)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.bitset.bitset import BitsetMatrix
+from repro.core.config import GPAprioriConfig
 from repro.core.itemset import RunMetrics
-from repro.gpusim.stats import KernelStats
+from repro.core.support import SimulatedEngine, VectorizedEngine
+from repro.datasets import TransactionDatabase
 from repro.obs import HistogramSummary, MetricsRegistry
 
 
@@ -17,12 +21,6 @@ class TestRegistry:
         assert reg.counter("launches") == 5
         assert reg.counter("missing") == 0
         assert reg.counters == {"launches": 5}
-
-    def test_counters_are_live(self):
-        reg = MetricsRegistry()
-        view = reg.counters
-        reg.inc("x", 3)
-        assert view["x"] == 3
 
     def test_gauges(self):
         reg = MetricsRegistry()
@@ -44,22 +42,6 @@ class TestRegistry:
         assert hist.max == 3.0
         assert reg.histogram("missing") is None
 
-    def test_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("n", 1)
-        b.inc("n", 2)
-        b.inc("m", 5)
-        a.set_gauge("g", 1.0)
-        b.set_gauge("g", 2.0)
-        a.observe("h", 1.0)
-        b.observe("h", 9.0)
-        a.merge(b)
-        assert a.counter("n") == 3
-        assert a.counter("m") == 5
-        assert a.gauge("g") == 2.0
-        assert a.histogram("h").count == 2
-        assert a.histogram("h").max == 9.0
-
     def test_snapshot_is_a_copy(self):
         reg = MetricsRegistry()
         reg.inc("c", 1)
@@ -80,18 +62,6 @@ class TestHistogramSummary:
         assert d["count"] == 0
         assert d["min"] == 0.0 and d["max"] == 0.0
         assert h.mean == 0.0
-
-    def test_merge_exact(self):
-        a, b = HistogramSummary(), HistogramSummary()
-        for v in (1.0, 2.0):
-            a.observe(v)
-        for v in (0.5, 4.0):
-            b.observe(v)
-        a.merge(b)
-        assert a.count == 4
-        assert a.total == pytest.approx(7.5)
-        assert a.min == 0.5
-        assert a.max == 4.0
 
 
 class TestHistogramBuckets:
@@ -141,14 +111,6 @@ class TestHistogramBuckets:
         assert bound == float("inf")
         assert cumulative == 4
 
-    def test_merge_merges_buckets(self):
-        a, b = HistogramSummary(), HistogramSummary()
-        a.observe(1.0)
-        b.observe(2.0)
-        a.merge(b)
-        assert sum(a.buckets) == 2
-        assert a.quantile(1.0) == 2.0
-
 
 class TestLabels:
     def test_labeled_counters_independent(self):
@@ -180,15 +142,6 @@ class TestLabels:
         snap = reg.snapshot()
         assert snap["labeled"]["counters"]["req"] == {'path="/a"': 1}
 
-    def test_merge_carries_labels(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("req", labels={"p": "x"})
-        b.inc("req", 4, labels={"p": "x"})
-        b.observe("h", 2.0, labels={"p": "y"})
-        a.merge(b)
-        assert a.counter("req", labels={"p": "x"}) == 5
-        assert a.histogram("h", labels={"p": "y"}).count == 1
-
 
 class TestRunMetricsIntegration:
     def test_counters_backed_by_registry(self):
@@ -197,47 +150,40 @@ class TestRunMetricsIntegration:
         m.add_counter("candidates", 5)
         assert m.counters["candidates"] == 15
         assert m.registry.counter("candidates") == 15
-        # dict-style writes (used by hybrid) hit the same store
-        m.counters["direct"] = 7
-        assert m.registry.counter("direct") == 7
 
     def test_constructor_seeds_counters(self):
         m = RunMetrics(algorithm="demo", counters={"a": 1, "b": 2})
         assert m.counters == {"a": 1, "b": 2}
 
-    def test_add_modeled_also_observes(self):
+    def test_add_modeled_keeps_one_copy(self):
+        """Modeled seconds live in the breakdown; no histogram repeats them."""
         m = RunMetrics(algorithm="demo")
         m.add_modeled("kernel", 0.25)
         m.add_modeled("kernel", 0.75)
         assert m.modeled_seconds == pytest.approx(1.0)
         assert m.modeled_breakdown["kernel"] == pytest.approx(1.0)
-        hist = m.registry.histogram("modeled.kernel")
-        assert hist.count == 2
-        assert hist.total == pytest.approx(1.0)
-
-    def test_generations_single_source_of_truth(self):
-        """KernelStats bound to RunMetrics appends into the *same* list."""
-        m = RunMetrics(algorithm="demo")
-        ks = KernelStats()
-        ks.bind_generations(m.generations)
-        ks.generations.append(42)
-        m.generations.append(7)
-        assert m.generations == [42, 7]
-        assert ks.generations is m.generations
+        assert m.registry.snapshot()["histograms"] == {}
 
     def test_kernel_stats_publish(self):
+        """A simulated launch adds its figures to the run's kernel.* counters."""
+        db = TransactionDatabase([[0, 1], [0, 1, 2], [1, 2], [0, 2]], n_items=3)
+        matrix = BitsetMatrix.from_database(db)
         m = RunMetrics(algorithm="demo")
-        ks = KernelStats()
-        ks.launches = 3
-        ks.blocks = 12
-        ks.threads = 768
-        ks.barriers = 24
-        ks.candidate_words = 1000
-        ks.popcounts = 500
-        ks.publish(m.registry)
-        assert m.counters["kernel.launches"] == 3
-        assert m.counters["kernel.blocks"] == 12
-        assert m.counters["kernel.threads"] == 768
-        assert m.counters["kernel.barriers"] == 24
-        assert m.counters["kernel.candidate_words"] == 1000
-        assert m.counters["kernel.popcounts"] == 500
+        eng = SimulatedEngine(GPAprioriConfig(engine="simulated", block_size=8), m)
+        eng.setup(matrix)
+        eng.count_complete(np.array([[0, 1], [1, 2], [0, 2]]))
+        eng.count_complete(np.array([[0, 1, 2]]))
+        n_words = matrix.n_words
+        assert m.counters["kernel.launches"] == 2
+        assert m.counters["kernel.blocks"] == 4
+        assert m.counters["kernel.threads"] == 4 * eng._block_dim()
+        assert m.counters["kernel.barriers"] > 0
+        assert m.counters["kernel.candidate_words"] == (3 * 2 + 1 * 3) * n_words
+        assert m.counters["kernel.popcounts"] == 4 * n_words
+        # only the simulator launches kernels: other engines publish none
+        vec = RunMetrics(algorithm="demo")
+        eng = VectorizedEngine(GPAprioriConfig(), vec)
+        eng.setup(matrix)
+        eng.count_complete(np.array([[0, 1]]))
+        eng.finalize()
+        assert not [n for n in vec.counters if n.startswith("kernel.")]

@@ -128,7 +128,7 @@ class TestAllAlgorithmsEmitRoots:
 
 class TestGenerationsDedup:
     def test_engine_generations_not_double_recorded(self, small_db):
-        """The engine's KernelStats shares RunMetrics.generations."""
+        """RunMetrics.generations holds one entry per generation."""
         result = gpapriori_mine(small_db, 0.3)
         gens = result.metrics.generations
         # generation 1 counts every item exactly once

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.obs import MetricsRegistry, parse_prometheus, render_prometheus
+from repro.obs import BUCKET_BOUNDS, MetricsRegistry, parse_prometheus, render_prometheus
 from repro.obs.promexpo import CONTENT_TYPE, sanitize_name
 
 
@@ -26,6 +26,15 @@ def registry() -> MetricsRegistry:
     for v in (0.002, 0.004, 0.008, 0.5):
         reg.observe("service.query.seconds", v)
     return reg
+
+
+def _bucket_lines(name, labels, observed):
+    """The cumulative ``_bucket`` lines of a histogram that saw ``observed``."""
+    bounds = [(b, repr(b)) for b in BUCKET_BOUNDS] + [(math.inf, "+Inf")]
+    return [
+        f'{name}_bucket{{{labels}le="{text}"}} {sum(v <= b for v in observed)}'
+        for b, text in bounds
+    ]
 
 
 class TestSanitize:
@@ -96,6 +105,40 @@ class TestRender:
         reg.inc("weird", labels={"v": nasty})
         (s,) = parse_prometheus(render_prometheus(reg))
         assert s["labels"]["v"] == nasty
+
+    def test_unlabeled_and_labeled_series_of_one_name(self):
+        """Each kind renders a name's unlabeled series first, then its
+        labeled ones, whatever order they were written in; the quantile
+        gauges follow the histogram's last series."""
+        reg = MetricsRegistry()
+        reg.inc("x.total", 2, labels={"k": "a"})
+        reg.inc("x.total", 5)
+        reg.set_gauge("x.level", 7, labels={"k": "a"})
+        reg.set_gauge("x.level", 1.5)
+        reg.observe("x.seconds", 0.5, labels={"k": "a"})
+        reg.observe("x.seconds", 1.0)
+        reg.observe("x.seconds", 3.0)
+        assert render_prometheus(reg).splitlines() == [
+            "# TYPE x_total counter",
+            "x_total 5",
+            'x_total{k="a"} 2',
+            "# TYPE x_level gauge",
+            "x_level 1.5",
+            'x_level{k="a"} 7',
+            "# TYPE x_seconds histogram",
+            *_bucket_lines("x_seconds", "", (1.0, 3.0)),
+            "x_seconds_sum 4",
+            "x_seconds_count 2",
+            *_bucket_lines("x_seconds", 'k="a",', (0.5,)),
+            'x_seconds_sum{k="a"} 0.5',
+            'x_seconds_count{k="a"} 1',
+            "# TYPE x_seconds_p50 gauge",
+            "x_seconds_p50 1",
+            "# TYPE x_seconds_p90 gauge",
+            "x_seconds_p90 3",
+            "# TYPE x_seconds_p99 gauge",
+            "x_seconds_p99 3",
+        ]
 
     def test_empty_registry(self):
         assert render_prometheus(MetricsRegistry()) == ""

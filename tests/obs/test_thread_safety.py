@@ -3,8 +3,7 @@
 The mining service hammers one shared :class:`MetricsRegistry` and one
 :class:`Tracer` from its worker pool; before the service landed,
 ``MetricsRegistry.observe`` mutated ``HistogramSummary`` objects
-*outside* the registry lock and ``merge`` read a live source registry
-without holding its lock — both silent lost-update races. These tests
+*outside* the registry lock — a silent lost-update race. These tests
 fail (intermittently but reliably at this iteration count) against the
 unlocked versions.
 """
@@ -55,47 +54,6 @@ class TestMetricsRegistry:
         assert hist["total"] == pytest.approx(THREADS * OPS * (OPS + 1) / 2)
         assert hist["min"] == 1.0
         assert hist["max"] == float(OPS)
-
-    def test_concurrent_merge_is_exact(self):
-        # each thread merges a private registry into the shared one
-        # while another thread keeps observing into the sources
-        shared = MetricsRegistry()
-
-        def merge_one(tid):
-            src = MetricsRegistry()
-            for i in range(OPS):
-                src.inc("n")
-                src.observe("h", 1.0)
-            shared.merge(src)
-
-        _hammer(THREADS, merge_one)
-        assert shared.counter("n") == THREADS * OPS
-        assert shared.snapshot()["histograms"]["h"]["count"] == THREADS * OPS
-
-    def test_merge_source_mutated_concurrently_stays_consistent(self):
-        # count and total must agree even when the source is being
-        # written while merged (merge snapshots under the source lock)
-        src = MetricsRegistry()
-        dst = MetricsRegistry()
-        stop = threading.Event()
-
-        def writer():
-            while not stop.is_set():
-                src.observe("h", 1.0)
-
-        w = threading.Thread(target=writer)
-        w.start()
-        try:
-            for _ in range(50):
-                d = MetricsRegistry()
-                d.merge(src)
-                hist = d.snapshot()["histograms"].get("h")
-                if hist is not None:
-                    assert hist["total"] == pytest.approx(float(hist["count"]))
-            dst.merge(src)
-        finally:
-            stop.set()
-            w.join()
 
     def test_concurrent_gauge_writes_keep_a_written_value(self):
         reg = MetricsRegistry()

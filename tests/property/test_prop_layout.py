@@ -79,7 +79,7 @@ class TestHybridEquivalence:
     ):
         """The cost model prices the layout's work, not the engine's
         execution strategy: all three base engines charge identically.
-        (The fleet legitimately charges more — it ships N replicas.)"""
+        (The fleet is left out: its breakdown is one ``fleet_makespan``.)"""
         min_count = data.draw(
             st.integers(min_value=1, max_value=max(1, len(db)))
         )

@@ -7,7 +7,10 @@ import json
 import pytest
 
 from repro.core.itemset import MiningResult
+from repro.core.request import MiningRequest
+from repro.datasets import TransactionDatabase
 from repro.errors import StoreCorruptError
+from repro.service import MiningService
 from repro.service.cache import ResultCache
 from repro.store import restore_result_cache, snapshot_result_cache
 
@@ -27,7 +30,9 @@ def make_result(supports=None, n_transactions=10, min_support=2):
     )
 
 
-KEY = ("chess", "gpapriori", (("engine", "vectorized"), ("unroll", 4)))
+KEY = MiningRequest.build(
+    0.5, "gpapriori", "chess", options={"engine": "vectorized", "unroll": 4}
+).signature()
 
 
 class TestRoundTrip:
@@ -75,6 +80,23 @@ class TestRoundTrip:
         hit = restored.lookup(KEY, 4, None)
         assert hit is not None and hit[1] == "filtered"
         assert hit[0].as_dict() == {(0,): 5}
+
+
+    def test_keys_no_query_produces_are_skipped(self, tmp_path):
+        """A key from an older build (here a partial config) would never
+        hit; only the current query's key comes back."""
+        db = TransactionDatabase([[0, 1, 2], [0, 1], [0, 2], [1, 2], [0, 1, 2, 3]])
+        path = tmp_path / "snap.json"
+        with MiningService(workers=1, maintenance_interval=None) as svc:
+            svc.register_dataset("toy", db)
+            assert svc.query("toy", 2).source == "cold"
+            stale = ("toy", "gpapriori", (("block_size", 256),))
+            svc.cache.store(stale, make_result(), 2, None)
+            assert snapshot_result_cache(svc.cache, path) == 2
+        with MiningService(workers=1, maintenance_interval=None) as svc:
+            svc.register_dataset("toy", db)
+            assert restore_result_cache(svc.cache, path) == 1
+            assert svc.query("toy", 2).source == "cache"
 
 
 class TestTtlSemantics:
