@@ -46,6 +46,9 @@ class GPAprioriConfig:
         only generation-1 bitsets live on the GPU, each candidate ANDs
         all k rows). ``"equivalence"`` — equivalence-class clustering
         (cache (k-1)-prefix intersections; fewer ANDs, more memory).
+        Equivalence is the paper's ablation on one device: it needs
+        ``layout="dense"``, no sharding and one of the ``vectorized``,
+        ``parallel`` or ``simulated`` engines.
     engine:
         ``"vectorized"`` — NumPy host execution of the same arithmetic.
         ``"simulated"`` — run the real kernel on :mod:`repro.gpusim`
@@ -58,8 +61,7 @@ class GPAprioriConfig:
         full replica of the vertical table, with every generation's
         candidate buffer block-partitioned across them (the paper's
         Tesla S1070 future-work scenario). Requires
-        ``plan="complete"``: candidate partitions cannot share the
-        equivalence-class prefix cache across devices.
+        ``plan="complete"``.
     workers:
         Counting-thread count for the parallel engine, the calling
         thread included. ``0`` (the default) sizes it to the host's
@@ -184,11 +186,16 @@ class GPAprioriConfig:
                 f"devices={self.devices} requires engine='multigpu', "
                 f"got engine={self.engine!r}"
             )
-        if self.engine == "multigpu" and self.plan != "complete":
+        if self.plan == "equivalence" and (
+            self.layout != "dense" or self.sharded or self.engine == "multigpu"
+        ):
             raise ConfigError(
-                "engine='multigpu' requires plan='complete': the "
-                "equivalence-class prefix cache cannot be partitioned "
-                "across candidate-parallel devices"
+                "plan='equivalence' is the Section IV.2 ablation: it needs "
+                "layout='dense', no sharding (shards <= 1, no "
+                "memory_budget_bytes) and engine 'vectorized', 'parallel' or "
+                f"'simulated'; got layout={self.layout!r}, shards={self.shards}, "
+                f"memory_budget_bytes={self.memory_budget_bytes!r}, "
+                f"engine={self.engine!r}. plan='complete' takes every combination"
             )
 
     @property

@@ -35,7 +35,6 @@ __all__ = [
     "extend_kernel",
     "thread_per_candidate_kernel",
     "hybrid_support_count_kernel",
-    "hybrid_extend_kernel",
 ]
 
 
@@ -200,60 +199,6 @@ def hybrid_support_count_kernel(
             word &= _hybrid_item_word(
                 ctx, dense_rows, sparse_tids, sparse_offsets, entry_at(j), w
             )
-        acc += popc(word)
-        w += ctx.block_dim
-    partials[tid] = acc
-    yield SYNCTHREADS
-
-    yield from block_reduce_sum(ctx, partials, ctx.block_dim)
-    if tid == 0:
-        ctx.store(supports, cand, partials[0])
-
-
-def hybrid_extend_kernel(
-    ctx: KernelContext,
-    prefix_rows: DeviceBuffer,
-    dense_rows: DeviceBuffer,
-    row_map: DeviceBuffer,
-    sparse_tids: DeviceBuffer,
-    sparse_offsets: DeviceBuffer,
-    pairs: DeviceBuffer,
-    n_words: int,
-    gen1_base: bool,
-    out_rows: DeviceBuffer,
-    supports: DeviceBuffer,
-):
-    """Equivalence-class extension under the hybrid layout.
-
-    The item side (``pairs[:, 1]``) always resolves through the layout.
-    The base side is a cached dense prefix row — except at the first
-    extend generation (``gen1_base``), where ``pairs[:, 0]`` is a raw
-    item id that may itself be sparse, so it resolves through the
-    layout too. Result rows are written back dense (both operand words
-    are already zero past ``n_transactions``, so no tail mask is
-    needed) and seed the ordinary dense prefix cache.
-    """
-    tid = ctx.thread_idx
-    cand = ctx.block_idx
-    partials = ctx.shared_array("partials", ctx.block_dim, np.int64)
-    p = int(ctx.load(pairs, (cand, 0)))
-    item = int(ctx.load(pairs, (cand, 1)))
-    item_entry = int(ctx.load(row_map, item))
-    base_entry = int(ctx.load(row_map, p)) if gen1_base else 0
-
-    acc = 0
-    w = tid
-    while w < n_words:
-        if gen1_base:
-            base_word = _hybrid_item_word(
-                ctx, dense_rows, sparse_tids, sparse_offsets, base_entry, w
-            )
-        else:
-            base_word = np.uint32(ctx.load(prefix_rows, (p, w)))
-        word = base_word & _hybrid_item_word(
-            ctx, dense_rows, sparse_tids, sparse_offsets, item_entry, w
-        )
-        ctx.store(out_rows, (cand, w), word)
         acc += popc(word)
         w += ctx.block_dim
     partials[tid] = acc

@@ -72,8 +72,11 @@ class PartitionedEngine(SupportEngine):
     defines ``_pieces(matrix, hybrid)``, which returns the install span's
     attributes and, per member, ``(span tags, piece span attributes,
     matrix, hybrid)``; ``_installed()``, which records what setup
-    installed; and ``_add_supports(kind, batch, out)``, which counts a
-    checked, non-empty batch into the zeroed ``out``.
+    installed; and ``_add_supports(batch, out)``, which counts a
+    checked, non-empty candidate batch into the zeroed ``out``.
+
+    Both count by complete intersection only: the equivalence-class
+    plan is the single-device ablation, so they keep no prefix cache.
     """
 
     member_config: GPAprioriConfig
@@ -125,44 +128,33 @@ class PartitionedEngine(SupportEngine):
             raise MiningError("engine.setup(matrix) must be called before counting")
         return self.engines
 
-    def _checked(self, kind: str, batch: np.ndarray, n_base: Optional[int] = None):
-        """The batch, validated before any pricing, splitting or member call."""
-        self._members()
-        return self._check_batch(kind, batch, n_base)
-
-    def _add_member(self, d, kind, batch, out, block=slice(None)) -> None:
+    def _add_member(self, d, batch, out, block=slice(None)) -> None:
         """Add member ``d``'s supports of ``batch[block]`` into ``out[block]``.
 
         Shards cover disjoint tid ranges, so their supports of one
         candidate sum; fleet blocks are disjoint, so their adds fill
         separate slots.
         """
-        engine = self.engines[d]
-        count = engine.count_complete if kind == "complete" else engine.count_extend
-        out[block] += count(batch[block])
+        out[block] += self.engines[d].count_complete(batch[block])
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
-        candidates = self._checked("complete", candidates)
+        # validated before any pricing, splitting or member call
+        self._members()
+        candidates = self._check_batch("complete", candidates)
         out = np.zeros(candidates.shape[0], dtype=np.int64)
         if out.size:
-            self._add_supports("complete", candidates, out)
+            self._add_supports(candidates, out)
         return out
 
 
 class ShardedEngine(PartitionedEngine):
     """Run any engine shard-by-shard and sum partial supports.
 
-    One member per shard persists across generations, so the
-    equivalence-class plan's per-shard prefix caches survive between
-    :meth:`count_extend`/:meth:`retain` rounds exactly as the unsharded
-    cache would. ``retain`` broadcasts the same surviving indices to
-    every shard (candidate order is global), keeping the caches in
-    lockstep.
-
-    Members charge their own per-shard transfer and kernel costs: the
-    kernel sums to the unsharded total, and the per-generation
-    candidate and support hops scale with the shard count — the genuine
-    out-of-core overhead. On top of that, every counting round after
+    One member per shard persists across generations. Members charge
+    their own per-shard transfer and kernel costs: the kernel sums to
+    the unsharded total, and the per-generation candidate and support
+    hops scale with the shard count — the genuine out-of-core
+    overhead. On top of that, every counting round after
     the first re-streams each shard's slab (``htod_shard_stream``).
     Simulated members allocate from a global memory capped at the
     budget, so a shard whose working set overflows it still raises
@@ -184,9 +176,6 @@ class ShardedEngine(PartitionedEngine):
         )
         self.plan: Optional[ShardPlan] = None
         self._rounds = 0
-        # prefix rows cached by the last retain(); None while extend
-        # bases are still raw item ids
-        self._n_base: Optional[int] = None
 
     def _pieces(self, matrix, hybrid):
         """Plan the shards; each member gets one sliced matrix or layout.
@@ -225,7 +214,7 @@ class ShardedEngine(PartitionedEngine):
         reg.set_gauge("shard.slab_bytes", self.plan.slab_bytes)
         self.metrics.add_counter("shard.bytes_installed", self.plan.total_bytes)
 
-    def _charge_stream(self, kind: str, batch: np.ndarray) -> None:
+    def _charge_stream(self, batch: np.ndarray) -> None:
         """Price this round's slab re-streaming, double-buffered.
 
         The first counting round reuses the slabs :meth:`setup` just
@@ -241,15 +230,12 @@ class ShardedEngine(PartitionedEngine):
         if len(shards) < 2 or self._rounds == 1:
             return
         n, k = batch.shape
-        items, base = batch, None
-        if kind == "extend":
-            items, base = batch[:, 1], batch[:, 0] if self._n_base is None else None
         n_items = self.plan.n_items
         transfers = [self.cost.transfer_time(s.slab_bytes(n_items)).seconds for s in shards]
         if self.plan.double_buffered:
             kernels = [
                 price_batch(
-                    kind, n, k, s.n_words, self.cost, self.config, e.hybrid, items, base
+                    "complete", n, k, s.n_words, self.cost, self.config, e.hybrid, batch
                 ).kernel
                 for s, e in zip(shards, self.engines)
             ]
@@ -274,23 +260,11 @@ class ShardedEngine(PartitionedEngine):
                 modeled_shard_kernel_seconds=kernels,
             )
 
-    def _add_supports(self, kind, batch, out) -> None:
+    def _add_supports(self, batch, out) -> None:
         """Stream the slabs back, then every shard counts the whole batch."""
-        self._charge_stream(kind, batch)
+        self._charge_stream(batch)
         for d in range(len(self.engines)):
-            self._add_member(d, kind, batch, out)
-
-    def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        pairs = self._checked("extend", pairs, self._n_base)
-        out = np.zeros(pairs.shape[0], dtype=np.int64)
-        # an empty round still streams and resets the members' pending rows
-        self._add_supports("extend", pairs, out)
-        return out
-
-    def retain(self, indices: np.ndarray) -> None:
-        for engine in self._members():
-            engine.retain(indices)
-        self._n_base = int(np.asarray(indices).size)
+            self._add_member(d, batch, out)
 
 
 class FleetEngine(PartitionedEngine):
@@ -299,17 +273,11 @@ class FleetEngine(PartitionedEngine):
     A device-local failure at the ``fleet.submit`` fault site retires
     the device, records a degradation through :mod:`repro.faults.degrade`
     and requeues its block on the survivors; only the last replica's
-    death propagates. Only the complete-intersection plan is supported: the
-    equivalence-class plan's prefix cache is keyed by global row
-    indices that a candidate partition would scatter across devices'
-    private caches (``GPAprioriConfig`` rejects the pairing up front;
-    :meth:`count_extend`/:meth:`retain` are defensive).
+    death propagates.
     """
 
     def __init__(self, config, metrics, device=TESLA_T10) -> None:
         super().__init__(config, metrics, device)
-        if config.plan != "complete":
-            raise MiningError("the multigpu fleet engine supports plan='complete' only")
         self.n_devices = resolve_devices(config.devices)
         # Members run the genuine kernels; a sharded config makes each
         # one a ShardedEngine streaming tid-range shards of its replica.
@@ -414,11 +382,11 @@ class FleetEngine(PartitionedEngine):
             "complete", n, k, self.n_words, self.cost, self.config, self._hybrid, candidates
         ).seconds
 
-    def _add_supports(self, kind, batch, out) -> None:
+    def _add_supports(self, batch, out) -> None:
         """Each live device counts one contiguous block of the batch."""
         n, k = batch.shape
         with span(
-            "fleet_launch", engine="multigpu", kind=kind, k=k, candidates=n,
+            "fleet_launch", engine="multigpu", kind="complete", k=k, candidates=n,
             devices=self.n_devices, **self.span_attrs,
         ) as sp:
             live = [d for d, ok in enumerate(self.alive) if ok]
@@ -439,7 +407,7 @@ class FleetEngine(PartitionedEngine):
                         "fleet.submit", device=d, devices=self.n_devices,
                         candidates=stop - start, k=k,
                     )
-                    self._add_member(d, kind, batch, out, slice(start, stop))
+                    self._add_member(d, batch, out, slice(start, stop))
                 except (GpuSimError, OSError) as exc:
                     # Device-local failure: retire the replica, requeue
                     # the block on the survivors. MiningError and
@@ -458,16 +426,3 @@ class FleetEngine(PartitionedEngine):
                 blocks=n_blocks, alive=sum(self.alive), modeled_makespan_seconds=gen_makespan,
                 modeled_single_device_seconds=single,
             )
-
-    def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        raise MiningError(
-            "the multigpu fleet engine implements the complete-intersection "
-            "plan only; the equivalence-class prefix cache cannot be "
-            "partitioned across candidate-parallel devices"
-        )
-
-    def retain(self, indices: np.ndarray) -> None:
-        raise MiningError(
-            "the multigpu fleet engine implements the complete-intersection "
-            "plan only; retain() has no distributed prefix cache to compact"
-        )

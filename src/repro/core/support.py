@@ -15,13 +15,17 @@ All engines expose the same three operations the mining driver needs:
 * :meth:`SupportEngine.count_complete` — complete-intersection counting
   of a ``(n, k)`` candidate buffer (paper Fig. 4 / Fig. 5);
 * :meth:`SupportEngine.count_extend` / :meth:`SupportEngine.retain` —
-  the equivalence-class alternative, extending cached prefix rows;
+  the equivalence-class alternative, extending cached prefix rows. It
+  is the paper's Section IV.2 ablation, so only the three in-process
+  engines serve it, over the dense table; the partitioned engines
+  inherit the base class's refusal;
 * modeled-cost accounting into a :class:`~repro.core.itemset.RunMetrics`.
 
 One function, :func:`price_batch`, prices every counting batch on the
 modeled Tesla T10: candidate upload, kernel and support download, plus
 the dense-row and tid-list traffic. Only it picks the kernel model for
-the kind (complete or extend) and layout (dense or hybrid), calls
+the kind (complete or extend) and layout (dense or hybrid; extend is
+dense only), calls
 :func:`~repro.bitset.hybrid.count_cost_stats` and maps
 ``config.aligned`` to a coalescing factor. The engines record its
 output; the shard stream, fleet clock, CPU/GPU balancer and GPU Eclat
@@ -89,20 +93,18 @@ def price_batch(
     config: GPAprioriConfig,
     layout: Optional[HybridLayout] = None,
     items: Optional[np.ndarray] = None,
-    base: Optional[np.ndarray] = None,
 ) -> BatchPrice:
     """Price ``n`` candidates of length ``k`` counted over ``n_words`` words.
 
     ``kind`` is ``"complete"`` (AND all ``k`` generation-1 rows) or
     ``"extend"`` (``k=2``: AND a base row with one item row and write
-    the result back). Under a hybrid ``layout``, ``items`` holds the
-    item ids the batch resolves through it: the whole candidate buffer
-    for complete intersection, the item column for extend. ``base``
-    holds the extend base ids in the first extend generation, while
-    they are still raw items; later bases are dense cached prefix rows.
+    the result back; dense only). Under a hybrid ``layout``, ``items``
+    holds the candidate buffer the batch resolves through it.
     """
     if kind not in ("complete", "extend"):
         raise MiningError(f"unknown counting kind {kind!r}")
+    if kind == "extend" and layout is not None:
+        raise MiningError("extend batches count over the dense layout only")
     shape = dict(
         n_candidates=n,
         n_words=n_words,
@@ -117,15 +119,9 @@ def price_batch(
         kc = model(**shape)
     else:
         dense_entries, sparse_tids = count_cost_stats(layout, items)
-        if kind == "extend":
-            d_base, s_base = (n, 0) if base is None else count_cost_stats(layout, base)
-            dense_entries += d_base
-            sparse_tids += s_base
-        if kind == "complete":
-            model = cost.hybrid_support_kernel_time
-        else:
-            model = cost.hybrid_extend_kernel_time
-        kc = model(dense_entries=dense_entries, sparse_tids=sparse_tids, **shape)
+        kc = cost.hybrid_support_kernel_time(
+            dense_entries=dense_entries, sparse_tids=sparse_tids, **shape
+        )
     return BatchPrice(
         htod=cost.transfer_time(n * k * 4).seconds,
         kernel=kc.seconds,
@@ -246,12 +242,15 @@ class SupportEngine:
         ``"complete"`` takes ``(n, k)`` item ids with ``k >= 1``;
         ``"extend"`` takes ``(n, 2)`` ``(base, item)`` pairs whose base
         indexes ``n_base`` cached prefix rows, or the items themselves
-        while ``n_base`` is None. Shape and base errors raise
-        :class:`MiningError`; ``k`` and item-id errors raise
-        :class:`~repro.errors.BitsetError`, identically on every engine.
+        while ``n_base`` is None, over the dense table only. Layout,
+        shape and base errors raise :class:`MiningError`; ``k`` and
+        item-id errors raise :class:`~repro.errors.BitsetError`,
+        identically on every engine.
         """
         batch = items = np.ascontiguousarray(batch, dtype=np.int64)
         if kind == "extend":
+            if self._hybrid is not None:
+                raise MiningError("extend counting needs the dense layout, not hybrid")
             if batch.ndim != 2 or batch.shape[1] != 2:
                 raise MiningError("pairs must be (n, 2) of (prefix_row, item_id)")
             base, items = batch[:, 0], batch[:, 1]
@@ -265,23 +264,17 @@ class SupportEngine:
             raise BitsetError("candidate contains item id outside the matrix")
         return batch
 
-    def _charge(self, kind: str, batch: np.ndarray, gen1_base: bool = False) -> dict:
+    def _charge(self, kind: str, batch: np.ndarray) -> dict:
         """Record one counting batch's :func:`price_batch` in the metrics.
 
         ``batch`` is the ``(n, k)`` candidate buffer, or for
-        ``kind="extend"`` the ``(n, 2)`` (base, item) pairs, where
-        ``gen1_base`` marks the first extend generation: its base ids
-        are raw items, not cached prefix rows. Returns the per-phase
-        modeled seconds so callers can attach them as span attributes.
+        ``kind="extend"`` the ``(n, 2)`` (base, item) pairs. Returns the
+        per-phase modeled seconds so callers can attach them as span
+        attributes.
         """
         n, k = batch.shape
-        items, base = batch, None
-        if kind == "extend":
-            items, base = batch[:, 1], batch[:, 0] if gen1_base else None
         n_words = self.n_words
-        price = price_batch(
-            kind, n, k, n_words, self.cost, self.config, self._hybrid, items, base
-        )
+        price = price_batch(kind, n, k, n_words, self.cost, self.config, self._hybrid, batch)
         m = self.metrics
         m.add_modeled("htod_candidates", price.htod)
         m.add_counter("bitset_words_anded", price.dense_entries * n_words)
@@ -305,10 +298,16 @@ class SupportEngine:
         raise NotImplementedError
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Extend cached prefix rows; only the engines that serve the
+        equivalence-class ablation override this and :meth:`retain`."""
+        raise MiningError(
+            f"{type(self).__name__} implements the complete-intersection "
+            "plan only; plan='equivalence' runs on one dense, unsharded "
+            "vectorized, parallel or simulated engine"
+        )
 
     def retain(self, indices: np.ndarray) -> None:
-        raise NotImplementedError
+        self.count_extend(indices)  # refused the same way
 
 
 class VectorizedEngine(SupportEngine):
@@ -334,21 +333,16 @@ class VectorizedEngine(SupportEngine):
         """Supports of ``rows`` over ``words`` (column 0 over ``base``)."""
         return support_words(words, rows, base)
 
-    def _groups(self, batch: np.ndarray, base: Optional[np.ndarray]) -> list:
+    def _groups(self, batch: np.ndarray) -> list:
         """``(selector, table, rows)`` groups covering a validated batch.
 
-        All-dense tables need no resolving. Under the hybrid layout the
-        item columns resolve through :func:`hybrid_tables`; an extend
-        batch's column 0 indexes ``base`` and passes through unchanged.
+        All-dense tables need no resolving (an extend batch is always
+        dense); under the hybrid layout the candidates resolve through
+        :func:`hybrid_tables`.
         """
         if self._hybrid is None:
             return [(np.ones(batch.shape[0], dtype=bool), self.matrix.words, batch)]
-        if base is None:
-            return hybrid_tables(self._hybrid, batch)
-        return [
-            (sel, table, np.column_stack((batch[sel, 0], rows)))
-            for sel, table, rows in hybrid_tables(self._hybrid, batch[:, 1:])
-        ]
+        return hybrid_tables(self._hybrid, batch)
 
     def _launch(
         self, kind: str, batch: np.ndarray, base: Optional[np.ndarray] = None
@@ -362,10 +356,10 @@ class VectorizedEngine(SupportEngine):
             "kernel_launch", engine=self.name, kind=kind, k=k, candidates=n, **self.span_attrs
         ) as sp:
             supports = np.empty(n, dtype=np.int64)
-            groups = self._groups(batch, base)
+            groups = self._groups(batch)
             for sel, table, rows in groups:
                 supports[sel] = self._count(table, rows, base)
-            sp.set(**self._charge(kind, batch, base is None))
+            sp.set(**self._charge(kind, batch))
         return supports, groups
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
@@ -422,7 +416,7 @@ class SimulatedEngine(SupportEngine):
         from ..gpusim.memory import GlobalMemory
 
         super().__init__(config, metrics, device)
-        self.memory = GlobalMemory(device.global_mem_bytes)
+        self.memory = GlobalMemory(device.global_mem_bytes, registry=metrics.registry)
         self._bitset_buf = None
         self._dense_buf = None  # hybrid layout's device arrays
         self._map_buf = None
@@ -441,8 +435,8 @@ class SimulatedEngine(SupportEngine):
         if hybrid is not None:
             # Per-layout htod accounting: each array of the hybrid
             # layout is allocated and shipped separately, so the
-            # simulator's TransferStats records the bytes actually
-            # moved — a fraction of the all-dense matrix on sparse data.
+            # transfer.* counters record the bytes actually moved — a
+            # fraction of the all-dense matrix on sparse data.
             self._dense_buf = self.memory.alloc(
                 "hybrid_dense", (hybrid.n_dense, hybrid.n_words), np.uint32
             )
@@ -589,7 +583,7 @@ class SimulatedEngine(SupportEngine):
         return out
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
-        from .kernels import extend_kernel, hybrid_extend_kernel
+        from .kernels import extend_kernel
 
         n_base = None if self._prefix_buf is None else self._prefix_buf.shape[0]
         pairs = self._check_batch("extend", pairs, n_base).astype(np.int32)
@@ -602,14 +596,8 @@ class SimulatedEngine(SupportEngine):
                 "prefix_rows_next", (0, n_words), np.uint32
             )
             return np.zeros(0, dtype=np.int64)
-        gen1 = self._prefix_buf is None
-        if self._hybrid is not None:
-            # at generation 2 the base ids resolve through the layout
-            # inside the kernel; the prefix arg is unused but must be a
-            # real buffer, so hand it the dense block.
-            prefix_buf = self._prefix_buf if not gen1 else self._dense_buf
-        else:
-            prefix_buf = self._prefix_buf if not gen1 else self._bitset_buf
+        # generation 2 extends the items' own bitset rows
+        prefix_buf = self._bitset_buf if self._prefix_buf is None else self._prefix_buf
         with span(
             "kernel_launch", engine="simulated", kind="extend", k=2, candidates=n, **self.span_attrs
         ) as sp:
@@ -642,31 +630,10 @@ class SimulatedEngine(SupportEngine):
                                 "prefix_rows_stage", (m, n_words), np.uint32
                             )
                         row_buf = out_rows if single else stage_buf
-                        if self._hybrid is not None:
-                            kernel = hybrid_extend_kernel
-                            args = (
-                                prefix_buf,
-                                self._dense_buf,
-                                self._map_buf,
-                                self._tids_buf,
-                                self._offs_buf,
-                                pair_buf,
-                                n_words,
-                                gen1,
-                                row_buf,
-                                sup_buf,
-                            )
-                        else:
-                            kernel = extend_kernel
-                            args = (
-                                prefix_buf,
-                                self._bitset_buf,
-                                pair_buf,
-                                n_words,
-                                row_buf,
-                                sup_buf,
-                            )
-                        self._launch(kernel, m, 2, args)
+                        args = (
+                            prefix_buf, self._bitset_buf, pair_buf, n_words, row_buf, sup_buf
+                        )
+                        self._launch(extend_kernel, m, 2, args)
                         supports[start:stop] = self.memory.dtoh(sup_buf)
                         if not single:
                             # device-to-device compaction; no PCIe charge
@@ -683,10 +650,7 @@ class SimulatedEngine(SupportEngine):
             if self._pending_buf is not None:
                 self.memory.free(self._pending_buf)
             self._pending_buf = out_rows
-            sp.set(
-                chunks=-(-n // chunk),
-                **self._charge("extend", pairs, gen1),
-            )
+            sp.set(chunks=-(-n // chunk), **self._charge("extend", pairs))
         return supports
 
     def retain(self, indices: np.ndarray) -> None:
@@ -706,11 +670,11 @@ class SimulatedEngine(SupportEngine):
         self.metrics.add_counter("prefix_rows_resident_bytes", int(kept.nbytes))
 
     def finalize(self) -> None:
-        """Publish the PCIe transfer totals and resident device bytes."""
-        self.memory.stats.publish(self.metrics.registry)
-        self.metrics.registry.set_gauge(
-            "device_bytes_in_use", self.memory.bytes_in_use
-        )
+        """Publish the device's peak and resident bytes (the transfer
+        counters grew at every hop)."""
+        reg = self.metrics.registry
+        reg.set_gauge("transfer.peak_bytes", self.memory.peak_bytes)
+        reg.set_gauge("device_bytes_in_use", self.memory.bytes_in_use)
 
     def coalescing_report(self):
         """Coalescing analysis of the last traced launch (or None)."""

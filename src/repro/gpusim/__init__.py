@@ -33,7 +33,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".device": ("DeviceProperties", "TESLA_T10", "XEON_E5520"),
-        ".memory": ("DeviceBuffer", "GlobalMemory", "SharedMemory", "TransferStats"),
+        ".memory": ("DeviceBuffer", "GlobalMemory", "SharedMemory"),
         ".kernel": (
             "SYNCTHREADS",
             "KernelContext",

@@ -8,55 +8,25 @@ GPApriori's host/device choreography (paper Section IV.2) is:
 
 :class:`GlobalMemory` gives that choreography real objects to act on —
 a capacity-checked allocator whose buffers live in simulated device
-address space — and :class:`TransferStats` records every PCIe hop so
-the performance model can price them. Device buffers are intentionally
-*not* NumPy views of host arrays: host code must go through
-``htod``/``dtoh``, making any extra transfer visible in the stats.
+address space — and counts every PCIe hop and allocation into the
+run's :class:`~repro.obs.MetricsRegistry` as it happens
+(``transfer.*`` counters). Device buffers are intentionally *not* NumPy
+views of host arrays: host code must go through ``htod``/``dtoh``,
+making any extra transfer visible in those counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import DeviceMemoryError, GpuSimError
 from ..faults.injection import fault_point
 from ..obs import span
+from ..obs.metrics import MetricsRegistry
 
-__all__ = ["DeviceBuffer", "GlobalMemory", "SharedMemory", "TransferStats"]
-
-
-@dataclass
-class TransferStats:
-    """Running totals of host<->device traffic and allocations."""
-
-    htod_bytes: int = 0
-    dtoh_bytes: int = 0
-    htod_count: int = 0
-    dtoh_count: int = 0
-    alloc_bytes: int = 0
-    peak_bytes: int = 0
-
-    def record_htod(self, nbytes: int) -> None:
-        self.htod_bytes += nbytes
-        self.htod_count += 1
-
-    def record_dtoh(self, nbytes: int) -> None:
-        self.dtoh_bytes += nbytes
-        self.dtoh_count += 1
-
-    def publish(self, registry, prefix: str = "transfer.") -> None:
-        """Write the transfer totals into a
-        :class:`repro.obs.MetricsRegistry`, unifying PCIe accounting
-        with the run's metric store."""
-        registry.inc(prefix + "htod_bytes", self.htod_bytes)
-        registry.inc(prefix + "dtoh_bytes", self.dtoh_bytes)
-        registry.inc(prefix + "htod_count", self.htod_count)
-        registry.inc(prefix + "dtoh_count", self.dtoh_count)
-        registry.inc(prefix + "alloc_bytes", self.alloc_bytes)
-        registry.set_gauge(prefix + "peak_bytes", self.peak_bytes)
+__all__ = ["DeviceBuffer", "GlobalMemory", "SharedMemory"]
 
 
 class DeviceBuffer:
@@ -115,9 +85,19 @@ class GlobalMemory:
         Allocation alignment; CUDA guarantees 256-byte alignment from
         ``cudaMalloc``, which comfortably satisfies the paper's 64-byte
         row alignment requirement.
+    registry:
+        The run's :class:`~repro.obs.MetricsRegistry`; each hop adds to
+        its ``transfer.htod_bytes``/``htod_count``/``dtoh_bytes``/
+        ``dtoh_count``/``alloc_bytes`` counters. ``None`` (standalone
+        use) counts into a registry of the allocator's own.
     """
 
-    def __init__(self, capacity_bytes: int, alignment: int = 256) -> None:
+    def __init__(
+        self,
+        capacity_bytes: int,
+        alignment: int = 256,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
         if capacity_bytes <= 0:
             raise GpuSimError("capacity must be positive")
         if alignment < 1 or alignment & (alignment - 1):
@@ -127,7 +107,14 @@ class GlobalMemory:
         self._next_addr = alignment  # leave address 0 unused, like NULL
         self._buffers: Dict[int, DeviceBuffer] = {}
         self._in_use = 0
-        self.stats = TransferStats()
+        self.peak_bytes = 0  # high-water mark of _in_use
+        self.registry = registry if registry is not None else MetricsRegistry()
+        # a run that never copies back still reports its counters, at zero
+        for name in ("htod_bytes", "htod_count", "dtoh_bytes", "dtoh_count", "alloc_bytes"):
+            self._count(name, 0)
+
+    def _count(self, name: str, amount: int) -> None:
+        self.registry.inc("transfer." + name, amount)
 
     # -- allocation -------------------------------------------------------------
 
@@ -153,8 +140,8 @@ class GlobalMemory:
         self._next_addr += max(padded, self.alignment)
         self._in_use += nbytes
         self._buffers[addr] = buf
-        self.stats.alloc_bytes += nbytes
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self._in_use)
+        self._count("alloc_bytes", nbytes)
+        self.peak_bytes = max(self.peak_bytes, self._in_use)
         return buf
 
     def free(self, buf: DeviceBuffer) -> None:
@@ -182,14 +169,16 @@ class GlobalMemory:
         fault_point("gpusim.htod", buffer=buf.name, bytes=buf.nbytes)
         with span("htod", buffer=buf.name, bytes=buf.nbytes):
             buf.data[...] = host_array
-            self.stats.record_htod(buf.nbytes)
+            self._count("htod_bytes", buf.nbytes)
+            self._count("htod_count", 1)
 
     def dtoh(self, buf: DeviceBuffer) -> np.ndarray:
         """Copy device -> host (cudaMemcpyDeviceToHost); returns a host copy."""
         fault_point("gpusim.dtoh", buffer=buf.name, bytes=buf.nbytes)
         with span("dtoh", buffer=buf.name, bytes=buf.nbytes):
             out = buf.data.copy()
-            self.stats.record_dtoh(buf.nbytes)
+            self._count("dtoh_bytes", buf.nbytes)
+            self._count("dtoh_count", 1)
         return out
 
 

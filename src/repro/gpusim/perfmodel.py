@@ -240,55 +240,6 @@ class GpuCostModel:
             blocks=n_candidates,
         )
 
-    def hybrid_extend_kernel_time(
-        self,
-        n_candidates: int,
-        n_words: int,
-        dense_entries: int,
-        sparse_tids: int,
-        block_size: int,
-        coalescing_factor: float = 1.0,
-    ) -> KernelCost:
-        """Model an equivalence-class extend launch under the hybrid layout.
-
-        ``dense_entries`` counts every operand row resolved from dense
-        storage (cached prefix rows *and* dense gen-1 items);
-        ``sparse_tids`` counts tid-list entries walked for sparse
-        operands. Result rows are always written back dense.
-        """
-        if n_candidates < 0 or n_words < 1 or block_size < 1:
-            raise GpuSimError("invalid kernel shape")
-        if dense_entries < 0 or sparse_tids < 0:
-            raise GpuSimError("dense_entries and sparse_tids must be >= 0")
-        d = self.device
-        if n_candidates == 0:
-            return KernelCost(0.0, 0.0, 0.0, 1.0, 0)
-        read_bytes = dense_entries * n_words * 4
-        sparse_bytes = sparse_tids * (4 + self.SPARSE_PROBE_BYTES)
-        write_bytes = n_candidates * n_words * 4
-        pair_bytes = n_candidates * 8 * 2  # pair ids + row_map entries
-        mem_seconds = (
-            (read_bytes + write_bytes) * coalescing_factor
-            + sparse_bytes
-            + pair_bytes
-        ) / d.mem_bandwidth_bytes
-        ops = (
-            dense_entries * n_words
-            + sparse_tids * self.SPARSE_TID_OPS
-            + n_candidates * (3.0 * n_words + 2.0 * block_size)
-        )
-        compute_seconds = ops / (d.peak_flops() * self.INSTR_EFFICIENCY)
-        occupancy = min(1.0, n_candidates / d.sm_count)
-        scale = 1.0 / occupancy
-        seconds = max(mem_seconds, compute_seconds) * scale + d.kernel_launch_overhead_s
-        return KernelCost(
-            seconds=seconds,
-            mem_seconds=mem_seconds * scale,
-            compute_seconds=compute_seconds * scale,
-            occupancy=occupancy,
-            blocks=n_candidates,
-        )
-
     def thread_per_candidate_time(
         self,
         n_candidates: int,

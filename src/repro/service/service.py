@@ -475,9 +475,10 @@ class MiningService:
 
         Device OOM gets one in-place retry (transient pressure — e.g.
         another query's shard slab in flight), then the degradation
-        ladder: re-mine sharded under a halved memory budget. Sharded
-        supports are additive over disjoint tid ranges, so the degraded
-        answer is bit-identical, just slower.
+        ladder: re-mine sharded under a halved memory budget, by
+        complete intersection. Sharded supports are additive over
+        disjoint tid ranges and both plans count the same supports, so
+        the degraded answer is bit-identical, just slower.
         """
         self.metrics.inc("service.cold_mines")
         t0 = time.perf_counter()
@@ -531,7 +532,12 @@ class MiningService:
         abs_support: int,
         cause: DeviceMemoryError,
     ):
-        """Re-mine under a halved, sharded memory budget after OOM."""
+        """Re-mine under a halved, sharded memory budget after OOM.
+
+        The degraded run uses ``plan="complete"``: the paper's answer to
+        the device-memory wall, and the only plan a sharded run takes,
+        so an equivalence-class query drops its prefix cache here.
+        """
         from ..core.sharding import ShardPlan
 
         config = request.config
@@ -555,7 +561,9 @@ class MiningService:
             dataset=entry.name,
             memory_budget_bytes=halved,
         )
-        degraded = replace(request, config=config.with_(memory_budget_bytes=halved))
+        degraded = replace(
+            request, config=config.with_(memory_budget_bytes=halved, plan="complete")
+        )
         return self._run_mine(entry, degraded, abs_support)
 
     # -- persistence / maintenance ------------------------------------------

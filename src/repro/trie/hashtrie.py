@@ -82,20 +82,23 @@ class HashTrie:
         bound ``len(t) - (k - d) + 1`` keeps the walk sub-quadratic on
         sparse data.
         """
-        t = transaction
         k = self.k
         if k == 0:
             return
+        # one conversion: probing a NumPy array item by item boxes an
+        # int per probe
+        t = transaction.tolist()
+        n = len(t)
 
         def walk(node: _Node, depth: int, start: int) -> None:
             remaining = k - depth
             # last start index that still leaves `remaining` items
-            stop = t.size - remaining + 1
+            stop = n - remaining + 1
             for p in range(start, stop):
                 if counters is not None:
                     counters.items_touched += 1
                     counters.hash_probes += 1
-                child = node.children.get(int(t[p]))
+                child = node.children.get(t[p])
                 if child is None:
                     continue
                 if counters is not None:

@@ -1,7 +1,13 @@
-"""Shared fixtures: reference databases and a brute-force oracle."""
+"""Shared fixtures: reference databases, a brute-force oracle and a
+per-module leak check."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+from contextlib import contextmanager
 from itertools import combinations
 from typing import Dict, Tuple
 
@@ -9,6 +15,38 @@ import numpy as np
 import pytest
 
 from repro.datasets import TransactionDatabase
+
+
+def _leftovers() -> dict:
+    """What a test module must not leave behind (descriptors where
+    ``/proc`` lists them)."""
+    fds = set()
+    for fd in os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else ():
+        try:
+            fds.add((fd, os.readlink(f"/proc/self/fd/{fd}")))
+        except OSError:
+            pass  # the descriptor that listed the directory, closed since
+    return {
+        "non-daemon threads": {t for t in threading.enumerate() if not t.daemon},
+        "multiprocessing children": set(multiprocessing.active_children()),
+        "/dev/shm entries": set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set(),
+        "open file descriptors": fds,
+    }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_leaks():
+    """Fail a test module that leaves behind a non-daemon thread, a
+    ``multiprocessing`` child, a ``/dev/shm`` entry or an open file
+    descriptor. Threads and children get a few seconds to wind down."""
+    before = _leftovers()
+    yield
+    deadline = time.monotonic() + 5.0
+    while (
+        leaked := {k: v - before[k] for k, v in _leftovers().items() if v - before[k]}
+    ) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not leaked, f"test module leaked {leaked}"
 
 
 @pytest.fixture
@@ -69,6 +107,24 @@ def unreadable_fimi(request, tmp_path) -> str:
         path = tmp_path / "corrupt.dat.gz"
         path.write_bytes(b"not gzip data")
     return str(path)
+
+
+@contextmanager
+def serving(service):
+    """Serve ``service`` over HTTP on a free port for the ``with`` block,
+    then shut down the server, the service and the serving thread."""
+    from repro.service import make_server
+
+    srv = make_server(service, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        service.close()
+        thread.join(timeout=5.0)
 
 
 def fleet_clocks(result) -> Tuple[float, float]:

@@ -217,23 +217,17 @@ class TestHybridPool:
         self.assert_pooled(eng)
 
     def test_equivalence_plan(self, setup):
-        eng, transactions = setup
-        # generation 2: both columns are raw item ids, dense or sparse
-        gen2 = np.array([[i, j] for i in range(16) for j in range(i + 1, 16)])
-        want = [oracle_support(transactions, p) for p in gen2.tolist()]
-        assert eng.count_extend(gen2).tolist() == want
-        keep = np.arange(0, gen2.shape[0], 3)
-        eng.retain(keep)
-        # generation 3: column 0 now indexes the cached prefix rows
-        gen3 = np.array([[r, (r * 7) % 16] for r in range(keep.size)])
-        itemsets = [
-            gen2[keep[r]].tolist() + [item] for r, item in gen3.tolist()
-        ]
-        want = [oracle_support(transactions, c) for c in itemsets]
-        assert eng.count_extend(gen3).tolist() == want
-        self.assert_pooled(eng)
+        """The equivalence plan is the dense ablation: the config refuses
+        it over the hybrid layout, and an engine with a hybrid table
+        installed refuses extend batches before any thread counts."""
+        eng, _ = setup
+        with pytest.raises(ConfigError, match="layout='dense'"):
+            GPAprioriConfig(engine="parallel", plan="equivalence", layout="hybrid")
+        with pytest.raises(MiningError, match="dense layout"):
+            eng.count_extend(np.array([[0, 1]]))
+        assert "parallel.tiles" not in eng.metrics.counters
 
-    @pytest.mark.parametrize("plan", ["complete", "equivalence"])
+    @pytest.mark.parametrize("plan", ["complete"])
     def test_mining_matches_oracle(self, skewed_db, plan, monkeypatch):
         monkeypatch.setattr(par_mod, "MIN_PARALLEL_CANDIDATES", 1)
         cfg = GPAprioriConfig(
@@ -327,16 +321,13 @@ class TestLifecycle:
     def test_finalize_releases_pool_and_segments(self, skewed_db):
         """Seen from outside: no ``repro-parallel`` thread outlives
         finalize(), and the run leaves no /dev/shm entry. The
-        hybrid run counts the installed dense block, the densified rows
-        of the mixed candidates and the prefix rows on the pool."""
+        hybrid run counts the installed dense block and the densified
+        rows of the mixed candidates on the pool."""
         shm_before = set(os.listdir("/dev/shm"))
         threads_before = pool_threads()
         eng = hybrid_engine(skewed_db)
         mixed = np.array([[i, j] for i in range(4) for j in range(4, 8)])
         eng.count_complete(mixed)
-        eng.count_extend(mixed)
-        eng.retain(np.arange(8))
-        eng.count_extend(np.array([[i, 8 + i] for i in range(8)]))
         assert not eng.in_process
         assert pool_threads(threads_before) != []
         eng.finalize()

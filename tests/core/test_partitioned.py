@@ -4,7 +4,8 @@
 ``VectorizedEngine`` does, through ``SupportEngine._check_batch``,
 before they price a shard stream, split candidate blocks or call a
 member. A bad batch raises the same error with the same message and
-leaves every counter, gauge and modeled charge as it was.
+leaves every counter, gauge and modeled charge as it was. They count by
+complete intersection only and refuse extend batches the same way.
 """
 
 import numpy as np
@@ -27,12 +28,6 @@ WRAPPERS = {
 BAD_CANDIDATES = {
     "1-D": np.zeros(3, dtype=np.int64),
     "k=0": np.zeros((2, 0), dtype=np.int64),
-    "item past n_items": np.array([[0, 70]]),
-}
-
-BAD_PAIRS = {
-    "1-D": np.zeros(3, dtype=np.int64),
-    "base past n_items": np.array([[70, 1]]),
     "item past n_items": np.array([[0, 70]]),
 }
 
@@ -84,33 +79,18 @@ def test_bad_candidates_raise_like_vectorized(db, wrapper, bad, layout):
     engine.finalize()
 
 
-@pytest.mark.parametrize("layout", ["dense", "hybrid"])
-@pytest.mark.parametrize("bad", BAD_PAIRS)
-def test_bad_pairs_raise_like_vectorized(db, bad, layout):
-    reference = _installed(db, layout)
-    engine = _installed(db, layout, shards=2)
-    engine.count_extend(np.array([[0, 1]]))
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_extend_refused(db, wrapper):
+    cls, knobs = WRAPPERS[wrapper]
+    engine = _installed(db, "dense", **knobs)
+    engine.count_complete(np.array([[0], [1]]))
     before = _state(engine)
-    want = _error(reference.count_extend, BAD_PAIRS[bad])
-    assert _error(engine.count_extend, BAD_PAIRS[bad]) == want
+    with pytest.raises(MiningError, match="complete-intersection"):
+        engine.count_extend(np.array([[0, 1]]))
+    with pytest.raises(MiningError, match="complete-intersection"):
+        engine.retain(np.array([0]))
     assert _state(engine) == before
-
-
-@pytest.mark.parametrize("layout", ["dense", "hybrid"])
-def test_retained_prefix_rows_bound_the_base(db, layout):
-    pairs = np.array([[0, 1], [0, 2], [1, 2]])
-    reference = _installed(db, layout)
-    engine = _installed(db, layout, shards=2)
-    for e in (reference, engine):
-        e.count_extend(pairs)
-        e.retain(np.array([0, 2]))
-    before = _state(engine)
-    bad = np.array([[2, 3]])  # only prefix rows 0 and 1 are cached
-    want = _error(reference.count_extend, bad)
-    assert _error(engine.count_extend, bad) == want
-    assert _state(engine) == before
-    ok = np.array([[0, 3], [1, 3]])
-    assert np.array_equal(engine.count_extend(ok), reference.count_extend(ok))
+    engine.finalize()
 
 
 @pytest.mark.parametrize("wrapper", WRAPPERS)

@@ -30,7 +30,6 @@ PRICED = {
     "support_kernel_time",
     "hybrid_support_kernel_time",
     "extend_kernel_time",
-    "hybrid_extend_kernel_time",
     "count_cost_stats",
 }
 
@@ -92,25 +91,23 @@ class TestOnePricer:
             price_batch("diffset", 1, 1, 1, GpuCostModel(), GPAprioriConfig())
 
 
-class TestShardStreamFirstExtend:
+class TestShardStream:
     def test_stream_estimate_matches_inner_engine_charges(self, skewed_db):
-        """Gen-2 extend under the hybrid layout: sparse base ids are priced
-        through the layout, as the inner engines charge them, not as dense
-        prefix rows."""
+        """Generation 2 under the hybrid layout: the stream's per-shard
+        kernel estimates are the members' own charges, with dense and
+        sparse items priced through each shard's slice of the layout."""
         layout = HybridLayout.from_matrix(
             BitsetMatrix.from_database(skewed_db, aligned=True), 0.1
         )
         assert (layout.n_dense, layout.n_sparse) == (4, 16)
-        cfg = GPAprioriConfig(
-            layout="hybrid", dense_threshold=0.1, plan="equivalence", shards=2
-        )
+        cfg = GPAprioriConfig(layout="hybrid", dense_threshold=0.1, shards=2)
         tracer = Tracer()
         with tracer.activate():
             gpapriori_mine(skewed_db, 20, config=cfg, max_k=2)
         spans = _spans(tracer)
         (stream,) = [a for name, a in spans if a.get("kind") == "shard_stream"]
         launches = [
-            a for name, a in spans if name == "kernel_launch" and a["kind"] == "extend"
+            a for name, a in spans if name == "kernel_launch" and a["k"] == 2
         ]
         assert [a["shard"] for a in launches] == [0, 1]
         assert stream["modeled_shard_kernel_seconds"] == [

@@ -159,12 +159,6 @@ class TestShardedEngine:
         assert result.as_dict() == reference.as_dict()
         assert result.metrics.registry.gauges["shard.count"] > 1
 
-    def test_equivalence_plan_survives_sharding(self, small_db):
-        reference = gpapriori_mine(small_db, 6)
-        cfg = GPAprioriConfig(plan="equivalence", shards=3, aligned=False)
-        got = gpapriori_mine(small_db, 6, config=cfg)
-        assert got.as_dict() == reference.as_dict()
-
 
 class TestConfigWiring:
     def test_sharded_property(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DeviceMemoryError, GpuSimError
 from repro.gpusim import GlobalMemory, SharedMemory
+from repro.obs import MetricsRegistry
 
 
 class TestGlobalMemory:
@@ -83,22 +84,34 @@ class TestGlobalMemory:
             mem.htod(a, np.zeros(4, dtype=np.int32))
 
     def test_transfer_stats(self):
-        mem = GlobalMemory(1 << 20)
+        """Every hop adds to the registry's transfer.* counters at once."""
+        registry = MetricsRegistry()
+        mem = GlobalMemory(1 << 20, registry=registry)
         a = mem.alloc("a", (4,), np.uint32)
         mem.htod(a, np.zeros(4, dtype=np.uint32))
+        assert registry.counter("transfer.htod_count") == 1
+        assert registry.counter("transfer.htod_bytes") == 16
         mem.dtoh(a)
         mem.dtoh(a)
-        assert mem.stats.htod_count == 1
-        assert mem.stats.htod_bytes == 16
-        assert mem.stats.dtoh_count == 2
-        assert mem.stats.dtoh_bytes == 32
+        assert registry.counters == {
+            "transfer.htod_bytes": 16,
+            "transfer.htod_count": 1,
+            "transfer.dtoh_bytes": 32,
+            "transfer.dtoh_count": 2,
+            "transfer.alloc_bytes": 16,
+        }
+        # standalone, the allocator counts into a registry of its own
+        solo = GlobalMemory(1 << 20)
+        solo.htod(solo.alloc("a", (4,), np.uint32), np.zeros(4, dtype=np.uint32))
+        assert solo.registry.counter("transfer.htod_bytes") == 16
 
     def test_peak_tracking(self):
         mem = GlobalMemory(1 << 20)
         a = mem.alloc("a", (100,), np.uint32)
         mem.free(a)
         mem.alloc("b", (10,), np.uint32)
-        assert mem.stats.peak_bytes == 400
+        assert mem.peak_bytes == 400
+        assert mem.bytes_in_use == 40
 
     def test_dtoh_returns_copy(self):
         mem = GlobalMemory(1 << 20)

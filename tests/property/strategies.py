@@ -1,31 +1,35 @@
-"""Shared hypothesis strategies for transaction data and mining configs.
-
-The per-suite config generators used to be copy-pasted into each
-property file; they live here once so every suite draws engines and
-configurations from the same pool (and new engines join every suite by
-editing one tuple).
-"""
+"""Shared hypothesis strategies, pools and checks for the property suites."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro import GPAprioriConfig
+from repro import GPAprioriConfig, gpapriori_mine
 from repro.datasets import TransactionDatabase
-from repro.gpusim.device import DeviceProperties
+from repro.gpusim.device import TESLA_T10, DeviceProperties
 
-#: The engines whose supports must be interchangeable bit-for-bit.
+#: The engines whose modeled costs must be interchangeable.
 BASE_ENGINES = ("vectorized", "simulated", "parallel")
-ENGINES = BASE_ENGINES + ("multigpu",)
+
+
+def priced_alike(db, min_count, device=TESLA_T10, **config) -> dict:
+    """Mine with each of :data:`BASE_ENGINES` under one config and check
+    that every run charges the vectorized run's modeled breakdown (the
+    model prices work, not execution strategy). Returns the runs."""
+    runs = {
+        name: gpapriori_mine(
+            db, min_count, config=GPAprioriConfig(engine=name, workers=2, **config), device=device
+        )
+        for name in BASE_ENGINES
+    }
+    want = runs["vectorized"].metrics.modeled_breakdown
+    for name, run in runs.items():
+        assert run.metrics.modeled_breakdown == want, name
+    return runs
 
 #: Fleet sizes the multigpu suites sweep — including 1 (degenerate
 #: fleet) and sizes larger than many generated candidate buffers.
 FLEET_SIZES = (1, 2, 3, 5)
-
-
-def engines(include_multigpu: bool = True):
-    """Engine-name strategy; the full pool unless a suite opts out."""
-    return st.sampled_from(ENGINES if include_multigpu else BASE_ENGINES)
 
 
 def thresholds():
@@ -33,46 +37,6 @@ def thresholds():
     (almost) every item sparse; the middle values exercise genuinely
     mixed layouts."""
     return st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
-
-
-@st.composite
-def mining_configs(
-    draw,
-    engine: str | None = None,
-    layouts: tuple = ("dense",),
-    with_threshold: bool = False,
-    include_multigpu: bool = True,
-):
-    """Random valid :class:`GPAprioriConfig` over the shared pools.
-
-    Draws kernel knobs, plan, engine, and alignment; the multigpu
-    engine additionally draws a fleet size from :data:`FLEET_SIZES`
-    (and is pinned to the complete plan, the only one it supports).
-    """
-    eng = engine if engine is not None else draw(engines(include_multigpu))
-    plan = (
-        "complete"
-        if eng == "multigpu"
-        else draw(st.sampled_from(["complete", "equivalence"]))
-    )
-    kwargs = dict(
-        block_size=draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
-        preload_candidates=draw(st.booleans()),
-        unroll=draw(st.sampled_from([1, 2, 4, 8])),
-        plan=plan,
-        engine=eng,
-        aligned=draw(st.booleans()),
-    )
-    layout = draw(st.sampled_from(list(layouts)))
-    if layout != "dense":
-        kwargs["layout"] = layout
-        if with_threshold:
-            kwargs["dense_threshold"] = draw(thresholds())
-    if eng == "multigpu":
-        kwargs["devices"] = draw(st.sampled_from(FLEET_SIZES))
-    if eng == "parallel":
-        kwargs["workers"] = 2
-    return GPAprioriConfig(**kwargs)
 
 
 def tight_device(capacity: int) -> DeviceProperties:

@@ -1,9 +1,12 @@
-"""Property-based tests: engine equivalence under random configurations.
+"""Property-based tests: the engines charge the same modeled costs.
 
-The central simulator-fidelity claim: whatever the block size, plan,
-alignment, or engine — including a multi-device fleet — mining output
-is a pure function of (database, min_support). Hypothesis drives
-random databases *and* random configurations through every engine.
+Every engine's supports are checked against the brute-force oracle in
+``test_prop_oracle_matrix``; what that matrix cannot see is the cost
+model. The simulator-fidelity claim here is that the vectorized,
+simulated and parallel engines price the same run identically (the
+model prices work, not execution strategy), also when the simulator
+must chunk its launches, and that a fleet sized past the candidate
+count idles its surplus devices.
 """
 
 import pytest
@@ -13,49 +16,27 @@ from hypothesis import strategies as st
 from repro import GPAprioriConfig, gpapriori_mine
 from repro.bitset import BitsetMatrix
 from repro.datasets import TransactionDatabase
+from tests.conftest import brute_force_frequent
 from tests.property.strategies import (
-    BASE_ENGINES,
     FLEET_SIZES,
-    mining_configs,
+    priced_alike,
     tight_device,
     transaction_databases,
 )
 
 SLOW = settings(max_examples=20, deadline=None)
 
-# Back-compat alias: older suites imported the helper from here.
-_tight_device = tight_device
-
 
 class TestConfigInvariance:
-    @SLOW
-    @given(
-        transaction_databases(max_items=7, max_transactions=18),
-        mining_configs(),
-        st.data(),
-    )
-    def test_output_independent_of_config(self, db, config, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        reference = gpapriori_mine(db, min_count)
-        got = gpapriori_mine(db, min_count, config=config)
-        assert got.as_dict() == reference.as_dict(), config
-
     @SLOW
     @given(transaction_databases(max_items=7, max_transactions=18), st.data())
     def test_simulated_vectorized_modeled_costs_equal(self, db, data):
         """Both engines charge identical modeled hardware costs for the
         same run (the model prices work, not execution strategy)."""
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        vec = gpapriori_mine(
-            db, min_count, config=GPAprioriConfig(engine="vectorized")
-        )
-        sim = gpapriori_mine(
-            db, min_count, config=GPAprioriConfig(engine="simulated", block_size=4)
-        )
+        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
+        vec = gpapriori_mine(db, min_count, config=GPAprioriConfig(engine="vectorized"))
+        sim_config = GPAprioriConfig(engine="simulated", block_size=4)
+        sim = gpapriori_mine(db, min_count, config=sim_config)
         v = vec.metrics.modeled_breakdown
         s = sim.metrics.modeled_breakdown
         # block size differs between the configs (256 vs 4), so compare
@@ -66,8 +47,8 @@ class TestConfigInvariance:
 
 
 class TestThreeEngineEquivalence:
-    """All three base engines are interchangeable: bit-identical supports
-    and identical modeled hardware costs on the same (db, min_count, plan)."""
+    """All three base engines are interchangeable: identical supports and
+    identical modeled hardware costs on the same (db, min_count, plan)."""
 
     @SLOW
     @given(
@@ -77,88 +58,31 @@ class TestThreeEngineEquivalence:
     )
     def test_identical_supports_and_modeled_costs(self, db, plan, data):
         min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
-        runs = {
-            name: gpapriori_mine(
-                db,
-                min_count,
-                config=GPAprioriConfig(
-                    engine=name, plan=plan, block_size=8, workers=2
-                ),
-            )
-            for name in BASE_ENGINES
-        }
-        ref = runs["vectorized"]
-        for name, got in runs.items():
-            assert got.as_dict() == ref.as_dict(), name
-            assert got.metrics.modeled_breakdown == pytest.approx(
-                ref.metrics.modeled_breakdown
-            ), name
+        runs = priced_alike(db, min_count, plan=plan, block_size=8)
+        assert all(r.as_dict() == runs["vectorized"].as_dict() for r in runs.values())
 
     def test_identical_under_memory_pressure(self, small_db):
         """On a device so tight the simulator must chunk every large
-        generation into multiple launches, supports and modeled costs
-        still match the other engines exactly."""
-        matrix = BitsetMatrix.from_database(small_db)
-        tight = tight_device(matrix.nbytes + 600)
-        runs = {
-            name: gpapriori_mine(
-                small_db,
-                6,
-                config=GPAprioriConfig(engine=name, block_size=8, workers=2),
-                device=tight,
-            )
-            for name in BASE_ENGINES
-        }
-        generations = runs["simulated"].metrics.generations
-        launches = runs["simulated"].metrics.counters["kernel.launches"]
-        assert launches > len(generations), "memory pressure must chunk"
-        ref = runs["vectorized"]
-        for name, got in runs.items():
-            assert got.as_dict() == ref.as_dict(), name
-            assert got.metrics.modeled_breakdown == pytest.approx(
-                ref.metrics.modeled_breakdown
-            ), name
+        generation into multiple launches, modeled costs still match the
+        other engines exactly."""
+        tight = tight_device(BitsetMatrix.from_database(small_db).nbytes + 600)
+        runs = priced_alike(small_db, 6, device=tight, block_size=8)
+        sim = runs["simulated"].metrics
+        assert sim.counters["kernel.launches"] > len(sim.generations), "no chunking"
 
 
 class TestFleetEquivalence:
-    """engine="multigpu" mines bit-identical supports vs vectorized for
-    every fleet size — including fleets larger than the candidate count,
-    where the surplus devices simply idle."""
-
-    @SLOW
-    @given(
-        transaction_databases(max_items=7, max_transactions=18),
-        st.sampled_from(FLEET_SIZES),
-        st.data(),
-    )
-    def test_fleet_supports_bit_identical(self, db, devices, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        reference = gpapriori_mine(
-            db, min_count, config=GPAprioriConfig(engine="vectorized")
-        )
-        got = gpapriori_mine(
-            db,
-            min_count,
-            config=GPAprioriConfig(
-                engine="multigpu", devices=devices, block_size=8
-            ),
-        )
-        assert got.as_dict() == reference.as_dict(), devices
+    """A fleet larger than the candidate count idles its surplus."""
 
     @pytest.mark.parametrize("devices", FLEET_SIZES)
     def test_fleet_larger_than_candidate_count(self, devices):
         # two items -> at most one pair candidate per generation; a
         # 5-device fleet must idle the surplus, not misassign blocks
         db = TransactionDatabase([[0, 1], [0, 1], [1]], n_items=2)
-        reference = gpapriori_mine(
-            db, 1, config=GPAprioriConfig(engine="vectorized")
-        )
         got = gpapriori_mine(
             db, 1, config=GPAprioriConfig(engine="multigpu", devices=devices)
         )
-        assert got.as_dict() == reference.as_dict()
+        assert got.as_dict() == brute_force_frequent(db, 1)
         assert (
             got.metrics.registry.gauge("fleet.devices") == devices
         )

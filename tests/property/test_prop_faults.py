@@ -22,6 +22,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec, inject, uninstall
 from repro.service import MiningService
+from tests.conftest import brute_force_frequent
 from tests.property.strategies import transaction_databases
 
 SLOW = settings(max_examples=10, deadline=None)
@@ -201,6 +202,24 @@ class TestRecoveryEvidence:
             names = str(record.detail())
             assert "fault.injected" in names
             assert "service.degraded" in names
+
+    def test_equivalence_query_degrades_to_complete_plan(self, small_db):
+        # The degraded sharded run takes the complete plan. Two fires
+        # exhaust the device retry (an unbounded fault, counted across
+        # the whole query, would fail the degraded run too).
+        plan = FaultPlan(
+            specs=(spec("gpusim.alloc", "device_oom", on_nth=1, max_fires=2),)
+        )
+        with MiningService(workers=1) as svc:
+            svc.register_dataset("d", small_db)
+            with inject(plan) as session:
+                response = svc.query("d", 8, engine="simulated", plan="equivalence")
+            assert session.fired() == 2
+            assert response.result.as_dict() == brute_force_frequent(small_db, 8)
+            assert svc.metrics.counter("service.degraded.total") == 1
+            run = response.result.metrics
+            assert "shard.count" in run.registry.gauges
+            assert "prefix_row_bytes_written" not in run.counters
 
     def test_worker_crash_retry_leaves_metrics(self, small_db):
         plan = FaultPlan(

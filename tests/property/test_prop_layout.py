@@ -1,28 +1,20 @@
-"""Property-based tests: the hybrid layout never changes the answer.
+"""Property-based tests: the hybrid layout is a storage decision.
 
-The adaptive layout is a storage decision, not an algorithmic one —
-whatever mix of dense bitset rows and sparse tid-lists the threshold
-produces, every engine (multi-device fleets included: they replicate
-the dense block and tid-lists per device) must mine bit-identical
-itemsets and the modeled hardware costs must stay engine-invariant.
-Hypothesis drives random databases and random thresholds, including
-the degenerate all-dense (0.0) and all-sparse (1.0) splits.
+Whatever mix of dense bitset rows and sparse tid-lists the threshold
+produces, the modeled hardware costs stay engine-invariant, and the
+layout's single-item supports are the matrix's. (Every layout's mined
+supports are checked against the brute-force oracle in
+``test_prop_oracle_matrix``.) Hypothesis drives random databases and
+random thresholds, including the degenerate all-dense (0.0) and
+all-sparse (1.0) splits.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GPAprioriConfig, gpapriori_mine
 from repro.bitset import BitsetMatrix
 from repro.bitset.hybrid import HybridLayout, hybrid_supports
-from tests.property.strategies import (
-    BASE_ENGINES,
-    FLEET_SIZES,
-    engines,
-    mining_configs,
-    thresholds,
-    transaction_databases,
-)
+from tests.property.strategies import priced_alike, thresholds, transaction_databases
 
 SLOW = settings(max_examples=20, deadline=None)
 
@@ -31,66 +23,15 @@ class TestHybridEquivalence:
     @SLOW
     @given(
         transaction_databases(max_items=7, max_transactions=18),
-        mining_configs(layouts=("hybrid", "auto"), with_threshold=True),
-        st.data(),
-    )
-    def test_hybrid_matches_dense(self, db, config, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        reference = gpapriori_mine(db, min_count)
-        got = gpapriori_mine(db, min_count, config=config)
-        assert got.as_dict() == reference.as_dict(), config
-
-    @SLOW
-    @given(
-        transaction_databases(max_items=7, max_transactions=18),
-        thresholds(),
-        engines(),
-        st.data(),
-    )
-    def test_sharded_hybrid_matches_dense(self, db, threshold, engine, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        reference = gpapriori_mine(db, min_count)
-        config = GPAprioriConfig(
-            layout="hybrid",
-            dense_threshold=threshold,
-            engine=engine,
-            shards=3,
-            devices=(
-                data.draw(st.sampled_from(FLEET_SIZES))
-                if engine == "multigpu"
-                else 0
-            ),
-        )
-        got = gpapriori_mine(db, min_count, config=config)
-        assert got.as_dict() == reference.as_dict(), config
-
-    @SLOW
-    @given(
-        transaction_databases(max_items=7, max_transactions=18),
         thresholds(),
         st.data(),
     )
-    def test_modeled_costs_engine_invariant_under_hybrid(
-        self, db, threshold, data
-    ):
+    def test_modeled_costs_engine_invariant_under_hybrid(self, db, threshold, data):
         """The cost model prices the layout's work, not the engine's
         execution strategy: all three base engines charge identically.
         (The fleet is left out: its breakdown is one ``fleet_makespan``.)"""
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        breakdowns = []
-        for engine in BASE_ENGINES:
-            config = GPAprioriConfig(
-                layout="hybrid", dense_threshold=threshold, engine=engine
-            )
-            result = gpapriori_mine(db, min_count, config=config)
-            breakdowns.append(result.metrics.modeled_breakdown)
-        assert breakdowns[0] == breakdowns[1] == breakdowns[2]
+        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
+        priced_alike(db, min_count, layout="hybrid", dense_threshold=threshold)
 
 
 class TestLayoutStructure:

@@ -1,18 +1,18 @@
 """Property-based tests: mining invariants across all algorithms.
 
-The heart of the reproduction's correctness story: on arbitrary small
-databases, every algorithm returns exactly the brute-force frequent
-itemsets, the results are downward closed, and the paper's plan/engine
-variants are all equivalent.
+Structural invariants of a mining result on arbitrary small databases:
+downward closure, exact supports, threshold monotonicity, ``max_k``
+prefixes and relabeling. That every algorithm and every accepted option
+combination returns exactly the brute-force frequent itemsets is
+``test_prop_oracle_matrix``'s job.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ALGORITHMS, GPAprioriConfig, gpapriori_mine, mine
+from repro import gpapriori_mine, mine
 from repro.datasets import TransactionDatabase
-from tests.conftest import brute_force_frequent
 from tests.property.strategies import transaction_databases
 
 SLOW_SETTINGS = settings(max_examples=25, deadline=None)
@@ -21,44 +21,8 @@ SLOW_SETTINGS = settings(max_examples=25, deadline=None)
 class TestOracleEquivalence:
     @SLOW_SETTINGS
     @given(transaction_databases(max_items=8, max_transactions=25), st.data())
-    def test_gpapriori_equals_oracle(self, db, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        want = brute_force_frequent(db, min_count)
-        got = gpapriori_mine(db, min_count)
-        assert got.as_dict() == want
-
-    @SLOW_SETTINGS
-    @given(transaction_databases(max_items=7, max_transactions=20), st.data())
-    def test_every_algorithm_equals_oracle(self, db, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        want = brute_force_frequent(db, min_count)
-        for algorithm in ALGORITHMS:
-            got = mine(db, min_count, algorithm=algorithm)
-            assert got.as_dict() == want, algorithm
-
-    @SLOW_SETTINGS
-    @given(transaction_databases(max_items=8, max_transactions=25), st.data())
-    def test_plans_and_engines_agree(self, db, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
-        ref = gpapriori_mine(db, min_count).as_dict()
-        for plan in ("complete", "equivalence"):
-            for engine in ("vectorized", "simulated"):
-                cfg = GPAprioriConfig(plan=plan, engine=engine, block_size=4)
-                got = gpapriori_mine(db, min_count, config=cfg)
-                assert got.as_dict() == ref, (plan, engine)
-
-    @SLOW_SETTINGS
-    @given(transaction_databases(max_items=8, max_transactions=25), st.data())
     def test_eclat_diffsets_agree(self, db, data):
-        min_count = data.draw(
-            st.integers(min_value=1, max_value=max(1, len(db)))
-        )
+        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
         a = mine(db, min_count, algorithm="eclat", diffsets=False)
         b = mine(db, min_count, algorithm="eclat", diffsets=True)
         assert a.as_dict() == b.as_dict()

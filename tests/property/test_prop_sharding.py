@@ -1,12 +1,13 @@
-"""Property-based tests: sharded counting is exact.
+"""Property-based tests: sharded counting stays exact and priced alike.
 
-The sharding layer's correctness claim is unconditional: for any
-database, threshold, engine, plan, and shard geometry, the sharded run
-mines the identical itemset->support mapping as the unsharded run.
-Supports are additive across disjoint tid ranges, so there is no
-approximation to tolerate — equality is exact, down to the bit. With
-``engine="multigpu"`` every fleet member streams the same shard plan
-through its replica, and the claim still holds.
+Supports are additive across disjoint tid ranges, so a sharded run
+mines exactly what an unsharded one does; the oracle matrix
+(``test_prop_oracle_matrix``) checks every engine x layout x shard
+setting against brute force. Here: a shard plan tiles the word axis,
+per-shard supports sum to the global ones, the three base engines
+charge identical modeled costs for a sharded run, and simulated
+members that must chunk their launches on a tight device still mine
+the oracle's answer.
 """
 
 from hypothesis import given, settings
@@ -16,13 +17,7 @@ from repro import GPAprioriConfig, gpapriori_mine
 from repro.bitset import BitsetMatrix
 from repro.core.sharding import ShardPlan, slice_matrix
 from tests.conftest import brute_force_frequent
-from tests.property.strategies import (
-    BASE_ENGINES,
-    FLEET_SIZES,
-    engines,
-    tight_device,
-    transaction_databases,
-)
+from tests.property.strategies import priced_alike, tight_device, transaction_databases
 
 SLOW = settings(max_examples=20, deadline=None)
 
@@ -30,104 +25,17 @@ SLOW = settings(max_examples=20, deadline=None)
 class TestShardedExactness:
     @SLOW
     @given(
-        transaction_databases(max_items=7, max_transactions=18),
-        engines(),
-        st.sampled_from(["complete", "equivalence"]),
-        st.integers(min_value=2, max_value=5),
-        st.data(),
-    )
-    def test_sharded_matches_unsharded(self, db, engine, plan, shards, data):
-        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
-        # the oracle counts by definition; an unsharded mine would share
-        # its counting core with every member engine
-        reference = brute_force_frequent(db, min_count)
-        if engine == "multigpu":
-            # the fleet engine supports the complete plan only, and
-            # sweeps its own device-count axis
-            plan = "complete"
-            devices = data.draw(st.sampled_from(FLEET_SIZES))
-        else:
-            devices = 0
-        cfg = GPAprioriConfig(
-            engine=engine,
-            plan=plan,
-            shards=shards,
-            aligned=False,
-            workers=2,
-            devices=devices,
-        )
-        got = gpapriori_mine(db, min_count, config=cfg)
-        assert got.as_dict() == reference, (engine, plan, shards, devices)
-
-    @SLOW
-    @given(
-        transaction_databases(max_items=7, max_transactions=18),
+        # up to 3 words per row, so the unaligned table really splits
+        transaction_databases(max_items=7, max_transactions=90),
         st.integers(min_value=2, max_value=5),
         st.data(),
     )
     def test_three_engines_agree_on_modeled_costs(self, db, shards, data):
         """Sharding must not break engine interchangeability: all three
         base engines still charge identical modeled costs for a sharded
-        run (the fleet charges for its N replicas and is asserted on
-        supports only, above)."""
+        run (the fleet charges for its N replicas and is left out)."""
         min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
-        runs = {
-            name: gpapriori_mine(
-                db,
-                min_count,
-                config=GPAprioriConfig(
-                    engine=name,
-                    shards=shards,
-                    aligned=False,
-                    block_size=8,
-                    workers=2,
-                ),
-            )
-            for name in BASE_ENGINES
-        }
-        ref = runs["vectorized"]
-        for name, got in runs.items():
-            assert got.as_dict() == ref.as_dict(), name
-            assert got.metrics.modeled_breakdown == ref.metrics.modeled_breakdown, name
-
-    @SLOW
-    @given(transaction_databases(max_items=7, max_transactions=18), st.data())
-    def test_budget_driven_plan_is_exact(self, db, data):
-        """A budget tight enough to force several shards (but wide
-        enough for the scratch reserve) still mines exactly."""
-        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
-        matrix = BitsetMatrix.from_database(db, aligned=False)
-        word_col = max(matrix.n_items * 4, 1)
-        budget = 2 * word_col + 2048  # two one-word slabs + scratch
-        reference = gpapriori_mine(db, min_count)
-        cfg = GPAprioriConfig(
-            aligned=False, memory_budget_bytes=budget, engine="simulated"
-        )
-        got = gpapriori_mine(db, min_count, config=cfg)
-        assert got.as_dict() == reference.as_dict()
-
-    @SLOW
-    @given(
-        transaction_databases(max_items=7, max_transactions=18),
-        st.sampled_from(FLEET_SIZES),
-        st.data(),
-    )
-    def test_budget_driven_fleet_is_exact(self, db, devices, data):
-        """A per-device budget that forces every fleet replica to
-        stream tid-range shards still mines exactly (sharded-fleet)."""
-        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
-        matrix = BitsetMatrix.from_database(db, aligned=False)
-        word_col = max(matrix.n_items * 4, 1)
-        budget = 2 * word_col + 2048  # two one-word slabs + scratch
-        reference = gpapriori_mine(db, min_count)
-        cfg = GPAprioriConfig(
-            aligned=False,
-            memory_budget_bytes=budget,
-            engine="multigpu",
-            devices=devices,
-        )
-        got = gpapriori_mine(db, min_count, config=cfg)
-        assert got.as_dict() == reference.as_dict(), devices
+        priced_alike(db, min_count, shards=shards, aligned=False, block_size=8)
 
     @SLOW
     @given(transaction_databases(max_items=6, max_transactions=16), st.data())
@@ -137,14 +45,13 @@ class TestShardedExactness:
         min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
         matrix = BitsetMatrix.from_database(db, aligned=False)
         tight = tight_device(matrix.nbytes + 2048)
-        reference = gpapriori_mine(db, min_count)
         cfg = GPAprioriConfig(
             engine="simulated",
             aligned=False,
             memory_budget_bytes=matrix.nbytes + 2048,
         )
         got = gpapriori_mine(db, min_count, config=cfg, device=tight)
-        assert got.as_dict() == reference.as_dict()
+        assert got.as_dict() == brute_force_frequent(db, min_count)
 
 
 class TestPlanInvariants:

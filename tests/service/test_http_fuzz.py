@@ -9,7 +9,6 @@ parallel engine for more than a handful of threads.
 
 import http.client
 import json
-import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,8 +17,8 @@ from hypothesis import strategies as st
 from repro.core.api import ALGORITHMS
 from repro.core.itemset import MiningResult
 from repro.datasets import TransactionDatabase
-from repro.service import MiningService, make_server
-from tests.conftest import brute_force_frequent
+from repro.service import MiningService
+from tests.conftest import brute_force_frequent, serving
 
 DB = TransactionDatabase(
     [[0, 1, 2], [0, 1], [0, 2], [1, 2], [0, 1, 2, 3], [0, 3], [1, 3], [0, 1, 3]]
@@ -84,14 +83,8 @@ def bodies(draw):
 def server():
     service = MiningService(workers=2, maintenance_interval=None)
     service.register_dataset("toy", DB)
-    srv = make_server(service, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    service.close()
-    thread.join(timeout=5.0)
+    with serving(service) as srv:
+        yield srv
 
 
 def _post(port, doc):

@@ -7,11 +7,14 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.bitset import BitsetMatrix
 from repro.core.api import mine
 from repro.datasets import TransactionDatabase, read_fimi
 from repro.service import MiningService, make_server
+from tests.conftest import serving
 
 
 @pytest.fixture
@@ -25,14 +28,8 @@ def db():
 def server(db):
     service = MiningService(workers=2)
     service.register_dataset("toy", db)
-    srv = make_server(service, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    service.close()
-    thread.join(timeout=5.0)
+    with serving(service) as srv:
+        yield srv
 
 
 def _get(server, path):
@@ -211,14 +208,8 @@ class TestOverloadBackpressure:
     def tiny_server(self, db):
         service = MiningService(workers=1, queue_depth=1)
         service.register_dataset("toy", db)
-        srv = make_server(service, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.server_close()
-        service.close()
-        thread.join(timeout=5.0)
+        with serving(service) as srv:
+            yield srv
 
     def test_429_carries_retry_after(self, tiny_server):
         service = tiny_server.service
@@ -440,6 +431,31 @@ class TestVersionedAPI:
         )
         assert status == 400
         assert "'algorithm' must be a string" in doc["error"]
+
+
+class TestEquivalenceConflicts:
+    @pytest.mark.parametrize("serve", ["hybrid-default", "out-of-core"])
+    def test_equivalence_on_a_hybrid_or_out_of_core_dataset_is_400(self, serve):
+        """The service folds its layout or its device budget into the
+        query, and the equivalence plan takes neither: a 400 naming the
+        conflict, not a mine."""
+        big = TransactionDatabase.from_dense(np.random.default_rng(7).random((2048, 16)) < 0.3)
+        if serve == "hybrid-default":
+            kwargs, conflict = {"layout": "hybrid"}, "layout='hybrid'"
+        else:
+            budget = BitsetMatrix.from_database(big).nbytes // 2
+            kwargs, conflict = {"device_budget_bytes": budget}, f"memory_budget_bytes={budget}"
+        service = MiningService(workers=1, **kwargs)
+        service.register_dataset("big", big)
+        with serving(service) as srv:
+            body = {"dataset": "big", "min_support": 0.2, "plan": "equivalence"}
+            status, doc = _post(srv, "/v1/mine", body)
+            assert status == 400, doc
+            assert doc["type"] == "ConfigError"
+            assert "plan='equivalence'" in doc["error"] and conflict in doc["error"]
+            assert service.metrics.counter("service.cold_mines") == 0
+            # the same dataset still mines by complete intersection
+            assert _post(srv, "/v1/mine", {**body, "plan": "complete"})[0] == 200
 
 
 class TestSocketOptions:
