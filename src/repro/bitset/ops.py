@@ -35,6 +35,11 @@ COUNT_BLOCK_BYTES = 512 << 10
 """Gather budget inside :func:`support_words`: the block, its AND
 operand and its per-word counts stay resident in a core's L2."""
 
+_MIN_SLICE_RUN = 8
+"""Mean run length from which :func:`support_words` ANDs contiguous
+slices; shorter runs would pay more in per-run calls than the gathers
+they save."""
+
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
@@ -91,14 +96,19 @@ def row_supports(block: np.ndarray) -> np.ndarray:
     """Set bits per row of a 2-D ``uint32`` or ``uint64`` word block.
 
     The popcount-and-sum every host counting path ends in (the kernel's
-    ``__popc`` plus its shared-memory reduction). Returns int64 counts,
-    one per row.
+    ``__popc`` plus its shared-memory reduction). The per-word counts
+    are summed in the narrowest type that holds a full row exactly:
+    ``uint16`` while a row has at most 65,535 bits (1,023 ``uint64`` or
+    2,047 ``uint32`` words), ``uint32`` past that. Returns int64
+    counts, one per row.
     """
     if _HAS_BITWISE_COUNT:
         counts = np.bitwise_count(block)
     else:
         counts = popcount_words(block.view(np.uint32))
-    return counts.sum(axis=1, dtype=np.int64)
+    bits = block.shape[1] * block.itemsize * 8
+    total = np.uint16 if bits <= 0xFFFF else np.uint32 if bits <= 0xFFFFFFFF else np.int64
+    return np.add.reduce(counts, axis=1, dtype=total).astype(np.int64)
 
 
 def and_rows(
@@ -122,27 +132,84 @@ def support_words(
     """Tile-batched support counting over a raw ``(n_items, n_words)``
     word array (the validated core of :func:`support_many`).
 
-    The one host counting core: complete intersection ANDs the ``k``
-    rows of ``words`` each candidate names; an equivalence-class
-    extension passes its cached prefix rows as ``base``, so column 0
-    of each ``(prefix_row, item)`` pair reads ``base`` and column 1
-    reads ``words`` (see :func:`and_rows`). Every engine counts through
-    it: the vectorized engine in process, the hybrid layout over the
-    tables :func:`~repro.bitset.hybrid.hybrid_tables` resolves, and the
+    The one host counting core. Each ``(n, k)`` candidate counts as its
+    prefix row (the AND of its first ``k - 1`` rows) AND its last-item
+    row, popcounted and summed by :func:`row_supports`, so the sum is
+    exact at any width. Column 0 of a candidate reads ``base`` when
+    given (an equivalence-class extension's cached prefix rows) and
+    ``words`` otherwise; every later column reads ``words``.
+
+    Candidates in lexicographic order share prefixes, and the core
+    reads that order once per call. A *run* is a stretch of candidates
+    with one prefix whose last items are consecutive rows. When runs
+    average at least eight candidates (generation 2 over a block of
+    frequent items), each run ANDs one contiguous slice of ``words``
+    against its prefix row, with no gathers. Otherwise each tile of
+    candidates ANDs each distinct prefix once (when that gathers fewer
+    rows than one prefix per candidate), then ANDs one gathered
+    last-item row per candidate. Tiles are sized from
+    ``COUNT_BLOCK_BYTES``, so no whole-batch prefix table is built and
+    a call holds about two blocks of rows at a time.
+
+    Every engine counts through it: the vectorized engine in process,
+    the hybrid layout over the tables
+    :func:`~repro.bitset.hybrid.hybrid_tables` resolves, and the
     parallel engine's threads over blocks of candidates on the same
     tables, so identical inputs give bit-identical supports on every
     path. C-contiguous tables of even width are read as ``uint64``
     words, halving the element count of each AND and popcount.
     """
-    n = candidates.shape[0]
+    n, k = candidates.shape
     out = np.empty(n, dtype=np.int64)
-    row_bytes = words.shape[1] * words.dtype.itemsize
     tables = (words,) if base is None else (words, base)
     if words.shape[1] % 2 == 0 and all(t.flags.c_contiguous for t in tables):
         words = words.view(np.uint64)
         base = None if base is None else base.view(np.uint64)
-    for start, stop in tile_bounds(n, row_bytes, COUNT_BLOCK_BYTES):
-        out[start:stop] = row_supports(and_rows(words, candidates[start:stop], base))
+    tile = max(1, COUNT_BLOCK_BYTES // max(words.shape[1] * words.itemsize, 1))
+    if k == 1:
+        for start in range(0, n, tile):
+            rows = candidates[start : start + tile]
+            out[start : start + tile] = row_supports(and_rows(words, rows, base))
+        return out
+    last = candidates[:, -1]
+    # heads: where a new (k-1)-prefix starts (column by column: a
+    # row-wise any() over k-1 columns costs several times more)
+    heads = np.zeros(n, dtype=bool)
+    heads[:1] = True
+    for j in range(k - 1):
+        heads[1:] |= candidates[1:, j] != candidates[:-1, j]
+    runs = None
+    # a run never outlasts its prefix group, so short groups rule runs out
+    if n >= _MIN_SLICE_RUN * np.count_nonzero(heads):
+        breaks = heads.copy()
+        breaks[1:] |= last[1:] != last[:-1] + 1
+        runs = np.flatnonzero(breaks)
+    if runs is not None and n >= _MIN_SLICE_RUN * runs.size:
+        bounds = runs.tolist() + [n]
+        for start, stop in zip(bounds, bounds[1:]):
+            if heads[start]:
+                prefix = and_rows(words, candidates[start : start + 1, :-1], base)[0]
+            shift = int(last[start]) - start
+            for a in range(start, stop, tile):
+                b = min(a + tile, stop)
+                out[a:b] = row_supports(np.bitwise_and(words[a + shift : b + shift], prefix))
+        return out
+    # a tile's gathered block, its prefix rows and the previous tile's
+    # block can be live at once: two thirds of a tile keeps them to the
+    # two blocks a full tile of plain gathers holds
+    tile = max(1, tile * 2 // 3)
+    for start in range(0, n, tile):
+        rows = candidates[start : start + tile]
+        firsts = heads[start : start + tile].copy()
+        firsts[0] = True
+        # sharing pays when it gathers fewer rows: k-1 per distinct
+        # prefix plus one per candidate, against k-1 per candidate
+        if (k - 1) * (rows.shape[0] - np.count_nonzero(firsts)) > rows.shape[0]:
+            block = and_rows(words, rows[firsts, :-1], base)[np.cumsum(firsts) - 1]
+        else:
+            block = and_rows(words, rows[:, :-1], base)
+        np.bitwise_and(block, words[rows[:, -1]], out=block)
+        out[start : start + tile] = row_supports(block)
     return out
 
 

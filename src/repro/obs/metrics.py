@@ -193,6 +193,7 @@ class MetricsRegistry:
         self._counters = self._tables["counters"]
         self._gauges = self._tables["gauges"]
         self._histograms = self._tables["histograms"]
+        self._watches: List[Dict[str, int]] = []
 
     # -- counters ---------------------------------------------------------------
 
@@ -207,7 +208,29 @@ class MetricsRegistry:
         with self._lock:
             value = self._counters.get(key, 0) + int(amount)
             self._counters[key] = value
+            if not key[1]:
+                for delta in self._watches:
+                    delta[name] = delta.get(name, 0) + int(amount)
         return value
+
+    def watch_counters(self) -> Dict[str, int]:
+        """Start collecting unlabeled counter increments.
+
+        Returns the dict they collect into; end with
+        :meth:`unwatch_counters`. The service's flight recorder takes
+        each query's counter delta this way, without copying the whole
+        table before and after.
+        """
+        delta: Dict[str, int] = {}
+        with self._lock:
+            self._watches.append(delta)
+        return delta
+
+    def unwatch_counters(self, delta: Dict[str, int]) -> Dict[str, int]:
+        """Stop a :meth:`watch_counters` watch; returns its nonzero deltas."""
+        with self._lock:
+            self._watches = [w for w in self._watches if w is not delta]
+            return {name: value for name, value in delta.items() if value}
 
     def counter(self, name: str, labels: Optional[Mapping[str, object]] = None) -> int:
         return self._counters.get((name, _label_key(labels)), 0)

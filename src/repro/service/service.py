@@ -283,7 +283,7 @@ class MiningService:
         # thread.
         outer = current_tracer()
         query_tracer = Tracer()
-        counters_before = self.metrics.counters
+        counters = self.metrics.watch_counters()
         self.metrics.inc("service.queries")
         state: Dict = {
             "algorithm": algorithm,
@@ -366,7 +366,7 @@ class MiningService:
                 options=options,
                 started_at=started_at,
                 elapsed=time.perf_counter() - t0,
-                counters_before=counters_before,
+                counters=counters,
             )
 
     # -- internals ----------------------------------------------------------
@@ -381,18 +381,13 @@ class MiningService:
         options: Dict,
         started_at: float,
         elapsed: float,
-        counters_before: Dict[str, int],
+        counters: Dict[str, int],
     ) -> None:
         """Telemetry fan-out after a query: flight record + log lines."""
+        delta = self.metrics.unwatch_counters(counters)
         spans = [s.to_dict() for s in query_tracer.finished()]
         if outer is not None:
             outer.adopt(spans)
-        counters_after = self.metrics.counters
-        delta = {
-            name: value - counters_before.get(name, 0)
-            for name, value in counters_after.items()
-            if value != counters_before.get(name, 0)
-        }
         error = state["error"]
         self.flight.record(
             QueryRecord(

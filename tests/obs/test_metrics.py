@@ -22,6 +22,21 @@ class TestRegistry:
         assert reg.counter("missing") == 0
         assert reg.counters == {"launches": 5}
 
+    def test_watch_counters_collects_unlabeled_increments_until_unwatched(self):
+        reg = MetricsRegistry()
+        reg.inc("before")
+        outer = reg.watch_counters()
+        reg.inc("a", 2)
+        inner = reg.watch_counters()
+        reg.inc("a")
+        reg.inc("zero", 0)
+        reg.inc("a", labels={"route": "/mine"})
+        assert reg.unwatch_counters(inner) == {"a": 1}
+        reg.inc("b")
+        assert reg.unwatch_counters(outer) == {"a": 3, "b": 1}
+        reg.inc("a")
+        assert outer == {"a": 3, "zero": 0, "b": 1}  # no longer collecting
+
     def test_gauges(self):
         reg = MetricsRegistry()
         reg.set_gauge("bytes_in_use", 100.0)

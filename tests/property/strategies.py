@@ -65,10 +65,11 @@ def transaction_databases(
     max_items: int = 12,
     max_transactions: int = 40,
     allow_empty_db: bool = True,
+    min_transactions: int = 0,
 ):
     """Random small databases (item universe <= max_items)."""
     n_items = draw(st.integers(min_value=1, max_value=max_items))
-    min_tx = 0 if allow_empty_db else 1
+    min_tx = max(min_transactions, 0 if allow_empty_db else 1)
     n_tx = draw(st.integers(min_value=min_tx, max_value=max_transactions))
     rows = draw(
         st.lists(

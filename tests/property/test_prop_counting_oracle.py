@@ -13,18 +13,27 @@ The draws cover k = 1..4, sparse members at every position, all-dense
 and all-sparse layouts, items no transaction contains, candidates in
 any row and member order, odd word widths (the unaligned layout) and
 shard slices, which reach the ``uint32`` fallback of the core.
+Lexicographic batches reach its pair-slice and shared-prefix paths, and
+all-ones rows either side of 65,535 bits reach both widths of its row
+sum.
 """
 
 import contextlib
+from functools import lru_cache
+from itertools import combinations
 from typing import List, Sequence, Set
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bitset.hybrid import HybridLayout, hybrid_supports
-from repro.bitset.ops import support_words
+from repro.bitset.ops import row_supports, support_words
+from repro.core.config import GPAprioriConfig
+from repro.core.itemset import RunMetrics
+from repro.core.parallel import ParallelEngine
 from repro.core.sharding import Shard
 
 ORACLE = settings(max_examples=100, deadline=None)
@@ -48,10 +57,18 @@ def oracle_support(
     return len(common)
 
 
+def oracle_supports(transactions: Sequence[Set[int]], candidates) -> List[int]:
+    """:func:`oracle_support` of each candidate, each item's set built once."""
+    tids = {i: item_tids(transactions, i) for i in {i for c in candidates for i in c}}
+    everything = set(range(len(transactions)))
+    return [len(everything.intersection(*(tids[i] for i in c))) for c in candidates]
+
+
 def encode_row(tids: Set[int], n_words: int) -> List[int]:
     """Bit ``t`` of the row is set iff ``t`` is in ``tids`` (32-bit words)."""
-    bits = sum(1 << t for t in tids)
-    return [(bits >> (32 * w)) & 0xFFFFFFFF for w in range(n_words)]
+    bits = np.zeros(32 * n_words, dtype=bool)
+    bits[sorted(tids)] = True
+    return np.packbits(bits, bitorder="little").view("<u4").tolist()
 
 
 # -- inputs -------------------------------------------------------------------
@@ -96,6 +113,35 @@ def counting_cases(draw):
     return transactions, n_items, n_words, dense, k, candidates
 
 
+@st.composite
+def lexicographic_cases(draw):
+    """Every k-combination of a drawn item subset, in lexicographic order.
+
+    A contiguous subset gives long runs of consecutive last items,
+    skipped items and dropped candidates cut them, and for k >= 3
+    neighbouring candidates share their (k-1)-item parent.
+    """
+    k = draw(st.integers(min_value=2, max_value=4))
+    n_items = draw(st.integers(min_value=k, max_value=20))
+    n_tx = draw(st.integers(min_value=0, max_value=150))
+    transactions = draw(
+        st.lists(
+            st.sets(st.integers(0, n_items - 1), max_size=n_items),
+            min_size=n_tx,
+            max_size=n_tx,
+        )
+    )
+    chosen = sorted(draw(st.sets(st.integers(0, n_items - 1), min_size=k)))
+    candidates = [list(c) for c in combinations(chosen, k)]
+    dropped = draw(st.sets(st.integers(0, len(candidates) - 1), max_size=3))
+    candidates = [c for i, c in enumerate(candidates) if i not in dropped]
+    n_words = -(-n_tx // 32)
+    if draw(st.booleans()):
+        n_words = -(-n_words // 16) * 16
+    dense = draw(st.lists(st.booleans(), min_size=n_items, max_size=n_items))
+    return transactions, n_items, n_words, dense, k, candidates
+
+
 def item_table(transactions, n_items: int, n_words: int) -> np.ndarray:
     return np.array(
         [encode_row(item_tids(transactions, i), n_words) for i in range(n_items)],
@@ -134,6 +180,17 @@ def block_budget(budget):
     if budget is None:
         return contextlib.nullcontext()
     return mock.patch("repro.bitset.ops.COUNT_BLOCK_BYTES", budget)
+
+
+def slice_runs(min_run):
+    """Pin the mean run length from which the core ANDs contiguous
+    slices: 1 slices every batch, a huge value gathers every batch."""
+    if min_run is None:
+        return contextlib.nullcontext()
+    return mock.patch("repro.bitset.ops._MIN_SLICE_RUN", min_run)
+
+
+PATHS = st.sampled_from([None, 1, 10**9])
 
 
 # -- properties ---------------------------------------------------------------
@@ -202,3 +259,88 @@ class TestHybridSupportsOracle:
             assert got.tolist() == [
                 oracle_support(transactions, c) for c in candidates
             ], k
+
+
+class TestCorePaths:
+    """Runs, shared prefixes and block cuts: each batch is counted on the
+    slice path, the gather path and the path the core picks itself."""
+
+    @ORACLE
+    @given(lexicographic_cases(), PATHS, st.sampled_from([None, 8, 100]))
+    def test_lexicographic_batches(self, case, min_run, budget):
+        transactions, n_items, n_words, dense, k, candidates = case
+        words = item_table(transactions, n_items, n_words)
+        layout = hybrid_layout(transactions, n_items, n_words, dense, range(n_items))
+        want = oracle_supports(transactions, candidates)
+        with slice_runs(min_run), block_budget(budget):
+            assert support_words(words, as_array(candidates, k)).tolist() == want
+            assert hybrid_supports(layout, as_array(candidates, k)).tolist() == want
+        items = [[i] for i in range(n_items)]
+        assert row_supports(words).tolist() == oracle_supports(transactions, items)
+
+    @ORACLE
+    @given(lexicographic_cases(), PATHS)
+    def test_parallel_block_cuts(self, case, min_run):
+        """The parallel engine cuts each batch into one block per worker,
+        through runs and shared parents."""
+        transactions, n_items, n_words, dense, k, candidates = case
+        assume(n_words > 0)  # an engine prices no zero-word table
+        layout = hybrid_layout(transactions, n_items, n_words, dense, range(n_items))
+        engine = ParallelEngine(GPAprioriConfig(engine="parallel", workers=3), RunMetrics())
+        engine.min_parallel = 1
+        engine.setup(None, layout)
+        try:
+            with slice_runs(min_run):
+                got = engine.count_complete(as_array(candidates, k))
+        finally:
+            engine.close()
+        assert got.tolist() == oracle_supports(transactions, candidates)
+
+
+@lru_cache(maxsize=None)
+def wide_case(n_words: int):
+    """``32 * n_words`` transactions: items 0-8 in every one (all-ones
+    rows), item 9 in the even ones, item 10 in none; 9 and 10 sparse."""
+    full, even = set(range(11)) - {9, 10}, set(range(10)) - {10}
+    transactions = [even if t % 2 == 0 else full for t in range(32 * n_words)]
+    words = item_table(transactions, 11, n_words)
+    layout = hybrid_layout(transactions, 11, n_words, [True] * 9 + [False] * 2, range(11))
+    return transactions, words, layout
+
+
+WIDE_BATCHES = (
+    [[i] for i in range(11)],
+    [[0, j] for j in range(1, 11)],  # one run of ten
+    [[0, 1, j] for j in range(2, 11)],  # one parent, nine partners
+    [[1, 3], [1, 5], [2, 9], [4, 10], [6, 7]],
+    [[0, 1, 2, 3], [0, 1, 2, 9], [0, 1, 3, 9], [5, 6, 7, 8]],
+)
+
+
+@pytest.mark.parametrize("min_run", [None, 10**9])
+@pytest.mark.parametrize(
+    "n_words, visible",
+    [
+        (2046, 2046),  # 1,023 uint64 words: the widest uint16 row sum
+        (2048, 2048),  # 1,024 uint64 words: 65,536 bits
+        (2050, 2050),  # 1,025 uint64 words
+        (2047, 2047),  # odd width: read as 2,047 uint32 words
+        (2050, 2048),  # strided view: read as 2,048 uint32 words
+    ],
+)
+def test_all_ones_rows_at_the_narrow_sum_limit(n_words, visible, min_run):
+    """All-ones rows count every bit a row holds, up to 65,600; at
+    65,536 a row sum kept in ``uint16`` would wrap to 0."""
+    transactions, words, layout = wide_case(n_words)
+    view = words[:, :visible]
+    transactions = transactions[: 32 * visible]
+    layout = layout.slice_shard(Shard(0, 0, len(transactions), 0, visible))
+    assert row_supports(view).tolist() == oracle_supports(
+        transactions, [[i] for i in range(11)]
+    )
+    with slice_runs(min_run):
+        for batch in WIDE_BATCHES:
+            want = oracle_supports(transactions, batch)
+            rows = as_array(batch, len(batch[0]))
+            assert support_words(view, rows).tolist() == want
+            assert hybrid_supports(layout, rows).tolist() == want

@@ -167,7 +167,18 @@ PINNED = {
         4,
         1_025,
     ),
+    # Item 0 and the pair {0, 1} have support exactly 65,536, item 1
+    # has 65,537: a uint16 row sum wraps them to 0 and 1. Item 2 lands
+    # on the threshold, so the pairs and triple with item 0 miss it.
+    "uint16-wrap": (
+        partial(_rows, 65_537, lambda t: t > 0, lambda t: True, lambda t: t % 64 == 0),
+        3,
+        1_025,
+    ),
 }
+
+WIDE = ("wide-rows", "uint16-wrap")
+"""Cases wider than 65,535 bits per row, run by the bitset-word cells only."""
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +191,7 @@ def pinned(name: str):
 
 def counts_bitset_words(algorithm: str, options) -> bool:
     """Whether a cell counts through ``ops.support_words``/``row_supports``:
-    only those run the wide-rows case. The simulator's kernels (simulated
+    only those run the ``WIDE`` cases. The simulator's kernels (simulated
     and the fleet) count their own way, at about 0.7 s per hybrid cell at
     that width; the horizontal and tidset miners count no bitset words."""
     if algorithm == "gpapriori":
@@ -194,7 +205,7 @@ def counts_bitset_words(algorithm: str, options) -> bool:
         pytest.param(cell.values[0], case, id=f"{cell.id}-{case}")
         for cell in ACCEPTED
         for case in PINNED
-        if case != "wide-rows" or counts_bitset_words(*cell.values[0])
+        if case not in WIDE or counts_bitset_words(*cell.values[0])
     ],
 )
 def test_pinned_case(cell, case):

@@ -38,19 +38,31 @@ class TestShardedExactness:
         priced_alike(db, min_count, shards=shards, aligned=False, block_size=8)
 
     @SLOW
-    @given(transaction_databases(max_items=6, max_transactions=16), st.data())
-    def test_sharded_survives_memory_pressure(self, db, data):
-        """On a tight device the simulated inner engines chunk their
-        candidate launches, and the answer still matches."""
-        min_count = data.draw(st.integers(min_value=1, max_value=max(1, len(db))))
+    @given(
+        # 40+ transactions: two or more unaligned words per row to split
+        transaction_databases(max_items=6, min_transactions=40, max_transactions=96),
+        st.sampled_from(["simulated", "vectorized", "parallel"]),
+        st.data(),
+    )
+    def test_sharded_survives_memory_pressure(self, db, engine, data):
+        """The table streams in two or more tid-range slabs. The vectorized
+        and parallel members count each slab on the host core, under a
+        budget smaller than the table. The simulated members chunk their
+        launches on a device the size of the table plus the 2 KiB their
+        allocations need, so ``shards=2`` cuts the table for them. The
+        answer still matches."""
+        min_count = data.draw(st.integers(min_value=1, max_value=len(db)))
         matrix = BitsetMatrix.from_database(db, aligned=False)
-        tight = tight_device(matrix.nbytes + 2048)
+        if engine == "simulated":
+            shards, budget = 2, matrix.nbytes + 2048
+        else:
+            shards, budget = 0, data.draw(st.integers(matrix.nbytes * 3 // 4, matrix.nbytes - 1))
+        plan = ShardPlan.for_matrix(matrix, shards=shards, memory_budget_bytes=budget)
+        assert plan.n_shards >= 2
         cfg = GPAprioriConfig(
-            engine="simulated",
-            aligned=False,
-            memory_budget_bytes=matrix.nbytes + 2048,
+            engine=engine, aligned=False, shards=shards, memory_budget_bytes=budget
         )
-        got = gpapriori_mine(db, min_count, config=cfg, device=tight)
+        got = gpapriori_mine(db, min_count, config=cfg, device=tight_device(budget))
         assert got.as_dict() == brute_force_frequent(db, min_count)
 
 

@@ -346,6 +346,26 @@ class TestDebugQueries:
         assert any(c["name"] == "mining_run" for c in mine_cold["children"])
         assert detail["metrics_delta"]["service.queries"] == 1
 
+    def test_detail_delta_is_the_change_in_the_counter_table(self, server):
+        """Each query's ``metrics_delta`` equals the unlabeled counters
+        read from ``/v1/stats`` after it minus those read before it, for
+        a cold mine, a cache hit and a rejected query alike."""
+        for body in (
+            {"dataset": "toy", "min_support": 2},
+            {"dataset": "toy", "min_support": 2},
+            {"dataset": "toy", "min_support": 0},
+        ):
+            before = _get(server, "/v1/stats")[1]["metrics"]["counters"]
+            _post(server, "/v1/mine", body)
+            after = _get(server, "/v1/stats")[1]["metrics"]["counters"]
+            newest = _get(server, "/v1/debug/queries")[1]["queries"][0]
+            _, detail = _get(server, f"/v1/debug/queries/{newest['query_id']}")
+            assert detail["metrics_delta"] == {
+                name: value - before.get(name, 0)
+                for name, value in after.items()
+                if value != before.get(name, 0)
+            }
+
     def test_unknown_query_404(self, server):
         try:
             _get(server, "/debug/queries/q999999")
