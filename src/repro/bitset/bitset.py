@@ -13,9 +13,13 @@ Padding bits are always zero; every operation preserves that invariant
 so popcounts never over-count.
 
 Bit order within a word is little-endian: transaction ``t`` lives in
-word ``t // 32`` at bit ``t % 32``. This matches ``np.packbits`` with
-``bitorder="little"`` viewed as ``uint32`` on a little-endian host, and
-is asserted in the test suite rather than assumed.
+word ``t // 32`` at bit ``t % 32``. Viewed as bytes on a little-endian
+host this is ``np.unpackbits``' ``bitorder="little"``, which the test
+suite asserts rather than assumes.
+
+Every table is built by one helper, :func:`set_bits`: it sums the
+powers of two that each word holds in one ``np.bincount``, with no
+per-bit byte matrix and no ``np.bitwise_or.at``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ import numpy as np
 
 from ..errors import BitsetError
 
-__all__ = ["BitsetMatrix", "WORD_BITS", "ALIGN_BYTES", "WORDS_PER_ALIGN"]
+__all__ = [
+    "BitsetMatrix",
+    "WORD_BITS",
+    "ALIGN_BYTES",
+    "WORDS_PER_ALIGN",
+    "set_bits",
+    "tid_rows",
+]
 
 WORD_BITS = 32
 """Bits per storage word (the kernel's per-thread unit)."""
@@ -36,6 +47,13 @@ ALIGN_BYTES = 64
 
 WORDS_PER_ALIGN = ALIGN_BYTES // 4
 """Row length is padded to a multiple of this many uint32 words."""
+
+TRANSPOSE_CHUNK = 1024
+"""Transactions per pass of :meth:`BitsetMatrix.from_database`, a
+multiple of :data:`WORD_BITS`. A pass holds about 17 bytes per entry
+(key, weight, bit); at 1,024 transactions that stays below the 2 bytes
+per entry a byte-per-bit matrix of the dense chess analog would take,
+and 1,024 to 4,096 time the same."""
 
 
 def words_for(n_transactions: int, aligned: bool = True) -> int:
@@ -97,42 +115,44 @@ class BitsetMatrix:
         """Transpose a horizontal database into the static bitset layout.
 
         This is GPApriori's one-time preprocessing step; the result is
-        what the host copies into GPU global memory before mining.
+        what the host copies into GPU global memory before mining. It
+        reads the CSR arrays :data:`TRANSPOSE_CHUNK` transactions at a
+        time and sets each chunk's bits with :func:`set_bits` into a
+        ``(n_words, n_items)`` table, word column by word column, which
+        is transposed once at the end. Exact because a
+        ``TransactionDatabase`` holds no repeated item in a transaction.
         """
-        n_items = db.n_items
-        n_tx = db.n_transactions
-        n_words = words_for(n_tx, aligned=aligned)
-        dense = np.zeros((n_items, n_words * WORD_BITS), dtype=np.uint8)
-        # Scatter via the CSR arrays: transaction t sets bit t of each item row.
-        offsets = db.offsets
-        items = db.items_flat
-        tx_ids = np.repeat(np.arange(n_tx, dtype=np.int64), np.diff(offsets))
-        dense[items, tx_ids] = 1
-        packed = np.packbits(dense, axis=1, bitorder="little")
-        words = packed.view(np.uint32).reshape(n_items, n_words)
-        return cls(words.copy(), n_tx)
+        n_items, n_tx = db.n_items, db.n_transactions
+        offsets, items = db.offsets, db.items_flat
+        cols = np.zeros((words_for(n_tx, aligned=aligned), n_items), dtype=np.uint32)
+        for start in range(0, n_tx, TRANSPOSE_CHUNK):
+            stop = min(start + TRANSPOSE_CHUNK, n_tx)
+            lengths = np.diff(offsets[start : stop + 1])
+            tx = np.arange(stop - start)
+            words = np.repeat((tx >> 5) * n_items, lengths)
+            words += items[offsets[start] : offsets[stop]]
+            first = start // WORD_BITS
+            set_bits(
+                cols[first : first + words_for(stop - start, aligned=False)],
+                words,
+                np.repeat((tx & 31).astype(np.int8), lengths),
+            )
+        return cls(cols.T, n_tx)
 
     @classmethod
     def from_sets(
         cls, tidsets: Sequence[Iterable[int]], n_transactions: int, aligned: bool = True
     ) -> "BitsetMatrix":
         """Build from explicit per-item transaction-id collections."""
-        n_words = words_for(n_transactions, aligned=aligned)
-        words = np.zeros((len(tidsets), n_words), dtype=np.uint32)
-        for row, tids in enumerate(tidsets):
-            tid_arr = np.asarray(list(tids), dtype=np.int64)
-            if tid_arr.size == 0:
-                continue
-            if tid_arr.min() < 0 or tid_arr.max() >= n_transactions:
+        rows = [np.unique(np.asarray(list(tids), dtype=np.int64)) for tids in tidsets]
+        for row, tids in enumerate(rows):
+            if tids.size and (tids[0] < 0 or tids[-1] >= n_transactions):
                 raise BitsetError(
                     f"row {row}: transaction id out of range [0, {n_transactions})"
                 )
-            np.bitwise_or.at(
-                words[row],
-                tid_arr // WORD_BITS,
-                np.uint32(1) << (tid_arr % WORD_BITS).astype(np.uint32),
-            )
-        return cls(words, n_transactions)
+        return cls(
+            tid_rows(rows, words_for(n_transactions, aligned=aligned)), n_transactions
+        )
 
     # -- accessors -------------------------------------------------------------
 
@@ -205,6 +225,33 @@ class BitsetMatrix:
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_items):
             raise BitsetError("item id out of range in select_rows")
         return self._words[idx]
+
+
+def set_bits(out: np.ndarray, words: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Overwrite the ``uint32`` array ``out`` with the bits it should hold.
+
+    Word ``words[i]`` of ``out`` (in flat, C order) gets bit
+    ``bits[i]``; every other bit of ``out`` is cleared. One
+    ``np.bincount`` sums ``2**bits`` per word, which equals their OR
+    only while no ``(word, bit)`` pair repeats: each caller passes
+    distinct pairs. The float64 sum of distinct powers of two below
+    2**32 is exact. ``bits`` should be a narrow integer type
+    (``np.ldexp`` is slow on ``int64`` exponents). Returns ``out``.
+    """
+    sums = np.bincount(words, weights=np.ldexp(1.0, bits), minlength=out.size)
+    np.copyto(out, sums.reshape(out.shape), casting="unsafe")
+    return out
+
+
+def tid_rows(tidsets: Sequence[np.ndarray], n_words: int) -> np.ndarray:
+    """The ``(len(tidsets), n_words)`` table whose row ``r`` has the bits
+    of ``tidsets[r]`` set; each array must hold distinct ids, all below
+    ``n_words * 32``."""
+    lengths = [tids.size for tids in tidsets]
+    tids = np.concatenate(tidsets) if tidsets else np.empty(0, dtype=np.int64)
+    words = np.repeat(np.arange(len(tidsets)) * n_words, lengths) + tids // WORD_BITS
+    out = np.empty((len(tidsets), n_words), dtype=np.uint32)
+    return set_bits(out, words, tids % WORD_BITS)
 
 
 def _tail_mask(n_words: int, n_transactions: int) -> np.ndarray | None:

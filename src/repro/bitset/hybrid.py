@@ -44,8 +44,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ..errors import BitsetError
-from .bitset import WORD_BITS, BitsetMatrix
-from .ops import support_words, tile_bounds
+from .bitset import WORD_BITS, BitsetMatrix, set_bits
+from .ops import popcount_words, support_words, tile_bounds
 
 __all__ = [
     "HybridLayout",
@@ -358,17 +358,30 @@ def build_layout(
 
 
 def _decode_rows(words: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Sorted set-bit positions of each of ``items``' rows, back to back
-    (per tile: its nonzero words, then the set bits of those)."""
+    """Sorted set-bit positions of each of ``items``' rows, back to back.
+
+    Per tile, the live (nonzero) words of the gathered rows each own a
+    run of the output from the exclusive cumsum of their popcounts.
+    Every pass peels the lowest set bit of each live word into the next
+    slot of its run, so bits leave in ascending order with no sort and
+    no unpacked-bit array; at most 32 passes.
+    """
     parts = []
     for start, stop in tile_bounds(items.size, max(words.shape[1] * 4, 1)):
-        block = words[items[start:stop]]
-        row, col = np.nonzero(block)
-        bits = np.unpackbits(
-            block[row, col].view(np.uint8), bitorder="little"
-        ).reshape(-1, WORD_BITS)
-        hit, bit = np.nonzero(bits)
-        parts.append((col[hit] * WORD_BITS + bit).astype(np.int32))
+        block = words[items[start:stop]].reshape(-1)
+        at = np.flatnonzero(block)
+        base = (at % words.shape[1] * WORD_BITS).astype(np.int32)
+        live = block[at]
+        counts = popcount_words(live)
+        out = np.empty(int(counts.sum(dtype=np.int64)), dtype=np.int32)
+        slot = np.cumsum(counts, dtype=np.int64) - counts
+        while live.size:
+            low = live & (~live + np.uint32(1))
+            out[slot] = base + popcount_words(low - np.uint32(1))
+            live ^= low
+            keep = live != 0
+            live, slot, base = live[keep], slot[keep] + 1, base[keep]
+        parts.append(out)
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
 
 
@@ -429,28 +442,32 @@ def hybrid_supports(layout: HybridLayout, candidates: np.ndarray) -> np.ndarray:
 def densify_rows(layout: HybridLayout, items: np.ndarray) -> np.ndarray:
     """Materialize bitset rows for ``items`` whichever side they live on.
 
-    Dense items gather their block row; sparse items scatter their
-    tid-lists into fresh zeroed rows, all in one ``bitwise_or.at``.
-    Builds the table the mixed candidates of :func:`hybrid_tables`
-    count over.
+    Dense items gather their block row; sparse items' tid-lists become
+    rows in one :func:`~repro.bitset.bitset.set_bits` (a tid-list holds
+    distinct ids, so each row's bits are distinct). Builds the table the
+    mixed candidates of :func:`hybrid_tables` count over.
     """
     items = np.ascontiguousarray(items)
-    out = np.zeros((items.size, layout.n_words), dtype=np.uint32)
+    n_words = layout.n_words
     entries = layout.row_map[items]
     dense_sel = entries >= 0
-    out[dense_sel] = layout.dense_words[entries[dense_sel]]
-    owners = np.nonzero(~dense_sel)[0]
+    owners = np.flatnonzero(~dense_sel)
     lo = layout.sparse_offsets[-entries[owners] - 1]
     lengths = layout.sparse_offsets[-entries[owners]] - lo
     # every owner's tids, back to back: lo + position within its run
     tids = layout.sparse_tids[
         np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
     ]
-    np.bitwise_or.at(
-        out.reshape(-1),
-        np.repeat(owners * layout.n_words, lengths) + tids // WORD_BITS,
-        np.uint32(1) << (tids % WORD_BITS).astype(np.uint32),
+    sparse = set_bits(
+        np.empty((owners.size, n_words), dtype=np.uint32),
+        np.repeat(np.arange(owners.size) * n_words, lengths) + tids // WORD_BITS,
+        tids % WORD_BITS,
     )
+    if owners.size == items.size:
+        return sparse
+    out = np.empty((items.size, n_words), dtype=np.uint32)
+    out[owners] = sparse
+    out[dense_sel] = layout.dense_words[entries[dense_sel]]
     return out
 
 

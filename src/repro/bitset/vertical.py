@@ -8,12 +8,12 @@ to establish that every layout encodes the same database.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from ..errors import BitsetError
-from .bitset import WORD_BITS, BitsetMatrix, words_for
+from .bitset import BitsetMatrix, tid_rows, words_for
 from .tidset import TidsetTable
 
 __all__ = [
@@ -72,23 +72,13 @@ def tidsets_to_bitset(
     >>> (rt.n_words, rt.is_aligned()) == (unaligned.n_words, False)
     True
     """
-    sets: Sequence[np.ndarray] = [table.tidset(i) for i in range(table.n_items)]
     if n_words is None:
-        return BitsetMatrix.from_sets(sets, table.n_transactions, aligned=aligned)
+        n_words = words_for(table.n_transactions, aligned=aligned)
     minimum = words_for(table.n_transactions, aligned=False)
     if n_words < minimum:
         raise BitsetError(
             f"n_words={n_words} cannot hold {table.n_transactions} "
             f"transactions (needs >= {minimum})"
         )
-    words = np.zeros((table.n_items, n_words), dtype=np.uint32)
-    for row, tids in enumerate(sets):
-        if len(tids) == 0:
-            continue
-        tid_arr = np.asarray(tids, dtype=np.int64)
-        np.bitwise_or.at(
-            words[row],
-            tid_arr // WORD_BITS,
-            np.uint32(1) << (tid_arr % WORD_BITS).astype(np.uint32),
-        )
-    return BitsetMatrix(words, table.n_transactions)
+    sets = [table.tidset(i) for i in range(table.n_items)]
+    return BitsetMatrix(tid_rows(sets, n_words), table.n_transactions)

@@ -364,8 +364,8 @@ class VectorizedEngine(SupportEngine):
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
         candidates = self._check_batch("complete", candidates)
-        if candidates.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
+        if candidates.shape[0] == 0 or self.n_words == 0:
+            return np.zeros(candidates.shape[0], dtype=np.int64)
         return self._launch("complete", candidates)[0]
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
@@ -376,8 +376,8 @@ class VectorizedEngine(SupportEngine):
         """
         base = self._prefix_rows
         pairs = self._check_batch("extend", pairs, None if base is None else base.shape[0])
-        supports, groups = np.zeros(0, dtype=np.int64), []
-        if pairs.shape[0]:
+        supports, groups = np.zeros(pairs.shape[0], dtype=np.int64), []
+        if pairs.shape[0] and self.n_words:
             supports, groups = self._launch("extend", pairs, base)
         self._pending = (pairs.shape[0], groups)
         return supports
@@ -532,8 +532,8 @@ class SimulatedEngine(SupportEngine):
 
         candidates = self._check_batch("complete", candidates).astype(np.int32)
         n, k = candidates.shape
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
+        if n == 0 or self.n_words == 0:
+            return np.zeros(n, dtype=np.int64)
         out = np.empty(n, dtype=np.int64)
         chunk = self._chunk_size(n, k * 4 + 8)  # candidate ids + support slot
         with span(
@@ -589,13 +589,13 @@ class SimulatedEngine(SupportEngine):
         pairs = self._check_batch("extend", pairs, n_base).astype(np.int32)
         n = pairs.shape[0]
         n_words = self.n_words
-        if n == 0:
+        if n == 0 or n_words == 0:
             if self._pending_buf is not None:
                 self.memory.free(self._pending_buf)
             self._pending_buf = self.memory.alloc(
-                "prefix_rows_next", (0, n_words), np.uint32
+                "prefix_rows_next", (n, n_words), np.uint32
             )
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(n, dtype=np.int64)
         # generation 2 extends the items' own bitset rows
         prefix_buf = self._bitset_buf if self._prefix_buf is None else self._prefix_buf
         with span(

@@ -74,6 +74,36 @@ class TestCountComplete:
         assert c["bitset_words_anded"] == 2 * v.matrix.n_words
 
 
+class TestZeroWordTables:
+    """A table of zero words per row (zero transactions, built by hand)
+    counts zero supports and charges nothing on every in-process engine."""
+
+    @pytest.mark.parametrize("engine_name", ["vectorized", "parallel", "simulated"])
+    @pytest.mark.parametrize("layout", ["dense", "hybrid"])
+    def test_zero_supports_no_charge(self, engine_name, layout):
+        from repro.bitset.hybrid import HybridLayout
+
+        metrics = RunMetrics()
+        eng = make_engine(GPAprioriConfig(engine=engine_name, workers=2), metrics)
+        if layout == "hybrid":
+            eng.setup(None, hybrid=HybridLayout.from_parts(
+                np.zeros((2, 0), np.uint32), [0, 1], [], [0], 0
+            ))
+        else:
+            eng.setup(BitsetMatrix(np.zeros((2, 0), np.uint32), 0))
+        before = (metrics.counters, metrics.modeled_seconds)
+        try:
+            assert eng.count_complete(np.array([[0, 1], [1, 1], [0, 0]])).tolist() == [0, 0, 0]
+            if layout == "dense":
+                assert eng.count_extend(np.array([[0, 1], [1, 0]])).tolist() == [0, 0]
+                eng.retain(np.array([1]))
+                assert eng.count_extend(np.array([[0, 1]])).tolist() == [0]
+                before[0]["prefix_rows_resident_bytes"] = 0
+        finally:
+            eng.close()
+        assert (metrics.counters, metrics.modeled_seconds) == before
+
+
 class TestCountExtend:
     def test_engines_agree(self, paper_db):
         v, s = engines(paper_db)

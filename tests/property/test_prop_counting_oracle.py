@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitset.hybrid import HybridLayout, hybrid_supports
@@ -284,7 +284,6 @@ class TestCorePaths:
         """The parallel engine cuts each batch into one block per worker,
         through runs and shared parents."""
         transactions, n_items, n_words, dense, k, candidates = case
-        assume(n_words > 0)  # an engine prices no zero-word table
         layout = hybrid_layout(transactions, n_items, n_words, dense, range(n_items))
         engine = ParallelEngine(GPAprioriConfig(engine="parallel", workers=3), RunMetrics())
         engine.min_parallel = 1
