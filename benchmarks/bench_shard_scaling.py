@@ -78,7 +78,7 @@ def test_shard_count_scaling(workload):
         cfg = GPAprioriConfig(shards=shards)
         result = gpapriori_mine(db, MIN_SUPPORT, config=cfg, max_k=MAX_K)
         assert result.as_dict() == reference.as_dict(), f"shards={shards} diverged"
-        plan = ShardPlan.for_matrix(matrix, shards=shards)
+        plan = ShardPlan.for_table(matrix, shards=shards)
         stream = result.metrics.modeled_breakdown.get("htod_shard_stream", 0.0)
         stream_costs[shards] = stream
         rows.append(

@@ -100,10 +100,11 @@ class BitsetMatrix:
                 f"{words.shape[1]} words hold {words.shape[1] * WORD_BITS} bits "
                 f"< n_transactions={n_transactions}"
             )
-        mask = _tail_mask(words.shape[1], n_transactions)
-        if mask is not None and words.size:
-            if np.any(words & ~mask):
-                raise BitsetError("padding bits beyond n_transactions must be zero")
+        # only the word columns from n_transactions // 32 on hold padding
+        full, rem = divmod(n_transactions, WORD_BITS)
+        tail = words[:, full:]
+        if tail.size and (np.any(tail[:, 0] >> rem) or np.any(tail[:, 1:])):
+            raise BitsetError("padding bits beyond n_transactions must be zero")
         self._words = words
         self._words.setflags(write=False)
         self._n_transactions = int(n_transactions)
@@ -185,9 +186,33 @@ class BitsetMatrix:
             raise BitsetError(f"item {item} out of range [0, {self.n_items})")
         return self._words[item]
 
+    @property
+    def n_dense(self) -> int:
+        """Rows stored as bitsets: every row (cf. the hybrid layout)."""
+        return self.n_items
+
+    riding_bytes = 0
+    """Bytes that ride along whole when the table is sharded: none."""
+
     def is_aligned(self) -> bool:
         """Whether rows respect the paper's 64-byte alignment."""
         return self.n_words % WORDS_PER_ALIGN == 0
+
+    def count_groups(self, candidates: np.ndarray) -> list:
+        """The one ``(selector, table, rows)`` group that counts
+        ``(n, k)`` candidates: the whole batch over this table
+        (cf. :func:`~repro.bitset.hybrid.hybrid_tables`)."""
+        return [(slice(None), self._words, candidates)]
+
+    def slice_shard(self, shard) -> "BitsetMatrix":
+        """One tid-range shard's column slice as a standalone matrix.
+
+        Mid-range shards contain only whole valid words, and the final
+        shard inherits the original tail padding (zeros), so the padding
+        invariant holds and per-shard popcounts never over-count.
+        """
+        words = self._words[:, shard.word_start : shard.word_stop]
+        return BitsetMatrix(words, shard.n_transactions)
 
     def __repr__(self) -> str:
         return (
@@ -253,15 +278,3 @@ def tid_rows(tidsets: Sequence[np.ndarray], n_words: int) -> np.ndarray:
     out = np.empty((len(tidsets), n_words), dtype=np.uint32)
     return set_bits(out, words, tids % WORD_BITS)
 
-
-def _tail_mask(n_words: int, n_transactions: int) -> np.ndarray | None:
-    """Per-word mask of *valid* bits; None when every bit is valid."""
-    total_bits = n_words * WORD_BITS
-    if n_transactions >= total_bits:
-        return None
-    mask = np.full(n_words, 0xFFFFFFFF, dtype=np.uint32)
-    full_words, rem = divmod(n_transactions, WORD_BITS)
-    if full_words < n_words:
-        mask[full_words] = np.uint32((1 << rem) - 1) if rem else np.uint32(0)
-        mask[full_words + 1 :] = 0
-    return mask

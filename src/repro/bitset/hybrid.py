@@ -39,7 +39,7 @@ process; the tests that pin the simulated kernels use it too.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .ops import popcount_words, support_words, tile_bounds
 
 __all__ = [
     "HybridLayout",
+    "Table",
     "auto_dense_threshold",
     "build_layout",
     "hybrid_supports",
@@ -146,6 +147,14 @@ class HybridLayout:
                 raise BitsetError(
                     f"sparse tid out of range [0, {n_transactions})"
                 )
+            # each tid-list strictly increases; a step onto the next
+            # slot's first tid may fall
+            bad = np.diff(sparse_tids) <= 0
+            starts = sparse_offsets[1:-1]
+            bad[starts[(starts > 0) & (starts < sparse_tids.size)] - 1] = False
+            if bad.any():
+                slot = np.searchsorted(sparse_offsets, np.argmax(bad), side="right") - 1
+                raise BitsetError(f"tid-list of sparse slot {slot} is not strictly increasing")
         self.dense_words = dense_words
         self.dense_words.setflags(write=False)
         self.row_map = row_map
@@ -304,13 +313,18 @@ class HybridLayout:
             f"device_bytes={self.device_bytes})"
         )
 
-    # -- sharding --------------------------------------------------------------
+    # -- counting and sharding -------------------------------------------------
+
+    def count_groups(self, candidates: np.ndarray) -> list:
+        """The ``(selector, table, rows)`` groups that count ``(n, k)``
+        candidates: :func:`hybrid_tables`."""
+        return hybrid_tables(self, candidates)
 
     def slice_shard(self, shard) -> "HybridLayout":
         """Restrict the layout to one tid-range shard.
 
         The dense block is sliced column-wise to the shard's word range
-        (exactly like :func:`~repro.core.sharding.slice_matrix`); each
+        (exactly like :meth:`BitsetMatrix.slice_shard`); each
         tid-list is cut to ``[tid_start, tid_stop)`` and rebased so the
         slice is self-contained. Per-shard supports stay additive.
         """
@@ -383,6 +397,13 @@ def _decode_rows(words: np.ndarray, items: np.ndarray) -> np.ndarray:
             live, slot, base = live[keep], slot[keep] + 1, base[keep]
         parts.append(out)
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+
+
+Table = Union[BitsetMatrix, HybridLayout]
+"""A generation-1 table: every engine installs one or the other, and
+both answer ``n_items``, ``n_words``, ``n_transactions``, ``nbytes``
+(the install charge), ``n_dense``, ``riding_bytes``, ``count_groups``
+and ``slice_shard``."""
 
 
 # -- host counting: resolve ids to tables, count on the core ------------------

@@ -16,8 +16,8 @@
   vectorized arithmetic split over the calling thread and a thread
   pool reading the one bitset table.
 * :mod:`~repro.core.sharding` — out-of-core tid-range shard plans: a
-  :class:`~repro.core.sharding.ShardPlan` sized from a device-memory
-  budget, and :func:`~repro.core.sharding.slice_matrix`.
+  :class:`~repro.core.sharding.ShardPlan` of one generation-1 table
+  (bitset matrix or hybrid layout), sized from a device-memory budget.
 * :mod:`~repro.core.partitioned` — engines of member engines whose
   supports add: :class:`~repro.core.partitioned.ShardedEngine` streams
   tid-range shards through any of the three engines, and
@@ -39,7 +39,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".plans": ("CompleteIntersectionPlan", "EquivalenceClassPlan", "make_plan"),
         ".support": ("VectorizedEngine", "SimulatedEngine", "make_engine"),
         ".parallel": ("ParallelEngine",),
-        ".sharding": ("Shard", "ShardPlan", "slice_matrix"),
+        ".sharding": ("Shard", "ShardPlan"),
         ".partitioned": ("ShardedEngine", "FleetEngine"),
         ".gpapriori": ("gpapriori_mine",),
         ".balance": ("StaticBalancer", "ModelBalancer", "hybrid_mine"),

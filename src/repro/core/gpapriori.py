@@ -105,62 +105,39 @@ def gpapriori_mine(
         run_attrs["shards"] = config.shards or "auto"
         if config.memory_budget_bytes is not None:
             run_attrs["memory_budget_bytes"] = config.memory_budget_bytes
-    if matrix is not None:
-        if matrix.n_transactions != db.n_transactions or matrix.n_items != db.n_items:
-            raise MiningError(
-                f"pinned matrix shape ({matrix.n_items} items x "
-                f"{matrix.n_transactions} transactions) does not match the "
-                f"database ({db.n_items} x {db.n_transactions})"
-            )
-        if config.aligned and not matrix.is_aligned():
-            raise MiningError(
-                "config.aligned=True but the pinned matrix is not 64-byte aligned"
-            )
-    if hybrid is not None:
-        if config.layout == "dense":
-            raise MiningError(
-                "hybrid= requires config.layout='hybrid' or 'auto'"
-            )
-        if (
-            hybrid.n_transactions != db.n_transactions
-            or hybrid.n_items != db.n_items
+    for what, pinned in (("matrix", matrix), ("hybrid layout", hybrid)):
+        if pinned is not None and (pinned.n_items, pinned.n_transactions) != (
+            db.n_items, db.n_transactions
         ):
             raise MiningError(
-                f"pinned hybrid layout shape ({hybrid.n_items} items x "
-                f"{hybrid.n_transactions} transactions) does not match the "
+                f"pinned {what} shape ({pinned.n_items} items x "
+                f"{pinned.n_transactions} transactions) does not match the "
                 f"database ({db.n_items} x {db.n_transactions})"
             )
+    if matrix is not None and config.aligned and not matrix.is_aligned():
+        raise MiningError("config.aligned=True but the pinned matrix is not 64-byte aligned")
+    if hybrid is not None and config.layout == "dense":
+        raise MiningError("hybrid= requires config.layout='hybrid' or 'auto'")
     if config.layout != "dense":
         run_attrs["layout"] = config.layout
         if config.dense_threshold is not None:
             run_attrs["dense_threshold"] = config.dense_threshold
 
     with mining_run("gpapriori", metrics, **run_attrs):
-        layout = hybrid
         with span(
             "transpose",
             aligned=config.aligned,
             pinned=matrix is not None or hybrid is not None,
         ) as sp:
-            if layout is None:
+            table = hybrid
+            if table is None:
                 if matrix is None:
                     matrix = BitsetMatrix.from_database(db, aligned=config.aligned)
-                layout = build_layout(matrix, config.layout, config.dense_threshold)
+                table = build_layout(matrix, config.layout, config.dense_threshold) or matrix
+            sp.set(n_items=table.n_items, n_words=table.n_words, bytes=table.nbytes)
+            layout = table if isinstance(table, HybridLayout) else None
             if layout is not None:
-                sp.set(
-                    n_items=layout.n_items,
-                    n_words=layout.n_words,
-                    bytes=layout.device_bytes,
-                    layout="hybrid",
-                    dense_items=layout.n_dense,
-                    sparse_items=layout.n_sparse,
-                )
-            else:
-                sp.set(
-                    n_items=matrix.n_items,
-                    n_words=matrix.n_words,
-                    bytes=matrix.nbytes,
-                )
+                sp.set(layout="hybrid", dense_items=layout.n_dense, sparse_items=layout.n_sparse)
         engine = make_engine(config, metrics, device)
         # the engine may hold threads: release them on every exit path,
         # also when a caller keeps the exception (and its traceback)
@@ -171,12 +148,8 @@ def gpapriori_mine(
                 reg.set_gauge("layout.sparse_items", layout.n_sparse)
                 reg.set_gauge("layout.device_bytes", layout.device_bytes)
                 reg.set_gauge("layout.bytes_saved", layout.bytes_saved)
-            install_bytes = layout.device_bytes if layout is not None else matrix.nbytes
-            with span("install", bytes=install_bytes):
-                if layout is not None:
-                    engine.setup(None, hybrid=layout)
-                else:
-                    engine.setup(matrix)
+            with span("install", bytes=table.nbytes):
+                engine.setup(table)
             plan = make_plan(config.plan)
 
             levels = levelwise(

@@ -1,8 +1,9 @@
 """Partitioned engines: member engines over pieces of one table.
 
-Each member holds a piece of the generation-1 vertical table (bitset
-matrix or hybrid layout) and counts a checked batch over it; the
-wrapper adds the members' supports into a zeroed array.
+Each member holds a piece of the one generation-1 table (bitset
+matrix or hybrid layout; the wrappers never ask which) and counts a
+checked batch over it; the wrapper adds the members' supports into a
+zeroed array.
 
 * :class:`ShardedEngine` splits the *transaction* axis, after
   Savasere's Partition and Grahne & Zhu's secondary-memory miner: one
@@ -48,7 +49,7 @@ from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..obs import span
 from .config import GPAprioriConfig
 from .itemset import RunMetrics
-from .sharding import Shard, ShardPlan, slice_matrix
+from .sharding import Shard, ShardPlan
 from .support import SupportEngine, make_engine, price_batch
 
 __all__ = [
@@ -69,9 +70,9 @@ class PartitionedEngine(SupportEngine):
 
     A subclass sets ``member_config`` and ``member_device``, may
     override ``_member_metrics()`` (the run's metrics by default), and
-    defines ``_pieces(matrix, hybrid)``, which returns the install span's
+    defines ``_pieces(table)``, which returns the install span's
     attributes and, per member, ``(span tags, piece span attributes,
-    matrix, hybrid)``; ``_installed()``, which records what setup
+    piece table)``; ``_installed()``, which records what setup
     installed; and ``_add_supports(batch, out)``, which counts a
     checked, non-empty candidate batch into the zeroed ``out``.
 
@@ -86,19 +87,16 @@ class PartitionedEngine(SupportEngine):
         super().__init__(config, metrics, device)
         self.engines: List[SupportEngine] = []
 
-    def setup(self, matrix, hybrid=None) -> None:
+    def setup(self, table) -> None:
         """Install one member per piece of the table.
 
         Each member's ``setup`` charges its own piece's host→device
         copy, so ``htod_bitsets`` sums the bytes genuinely shipped.
         """
-        if matrix is None and hybrid is None:
-            raise MiningError("engine.setup() needs a matrix or a hybrid layout")
-        self._matrix = matrix
-        self._hybrid = hybrid
-        install, pieces = self._pieces(matrix, hybrid)
+        self._table = table
+        install, pieces = self._pieces(table)
         with span("transfer", **install):
-            for tags, attrs, piece, piece_hybrid in pieces:
+            for tags, attrs, piece in pieces:
                 engine = make_engine(
                     self.member_config, self._member_metrics(), self.member_device
                 )
@@ -106,7 +104,7 @@ class PartitionedEngine(SupportEngine):
                 # its launches with both its device and its shard
                 engine.span_attrs = {**self.span_attrs, **tags}
                 with span("transfer", **attrs):
-                    engine.setup(piece, hybrid=piece_hybrid)
+                    engine.setup(piece)
                 self.engines.append(engine)
         self._installed()
 
@@ -125,7 +123,7 @@ class PartitionedEngine(SupportEngine):
 
     def _members(self) -> List[SupportEngine]:
         if not self.engines:
-            raise MiningError("engine.setup(matrix) must be called before counting")
+            raise MiningError("engine.setup(table) must be called before counting")
         return self.engines
 
     def _add_member(self, d, batch, out, block=slice(None)) -> None:
@@ -177,36 +175,28 @@ class ShardedEngine(PartitionedEngine):
         self.plan: Optional[ShardPlan] = None
         self._rounds = 0
 
-    def _pieces(self, matrix, hybrid):
-        """Plan the shards; each member gets one sliced matrix or layout.
+    def _pieces(self, table):
+        """Plan the shards; each member gets the table's slice of one shard.
 
-        Under a hybrid layout only the dense block is shard-planned;
-        every shard's slice carries the tid-lists that fall inside its
-        tid range, rebased so per-shard supports stay additive.
+        Only a table's dense rows are shard-planned; a hybrid layout's
+        slices carry the tid-lists that fall inside their tid range,
+        rebased so per-shard supports stay additive.
         """
-        kw = dict(shards=self.config.shards, memory_budget_bytes=self.budget)
-        if hybrid is not None:
-            plan = self.plan = ShardPlan.for_layout(hybrid, **kw)
-        else:
-            plan = self.plan = ShardPlan.for_matrix(matrix, **kw)
+        plan = self.plan = ShardPlan.for_table(
+            table, shards=self.config.shards, memory_budget_bytes=self.budget
+        )
         install = dict(
             kind="shard_install", shards=plan.n_shards, slab_bytes=plan.slab_bytes,
             total_bytes=plan.total_bytes,
         )
-        return install, (self._slab(s, matrix, hybrid) for s in plan.shards)
+        return install, (self._slab(s, table.slice_shard(s)) for s in plan.shards)
 
-    def _slab(self, shard: Shard, matrix, hybrid):
-        if hybrid is not None:
-            matrix, hybrid = None, hybrid.slice_shard(shard)
-            nbytes = hybrid.device_bytes
-        else:
-            matrix = slice_matrix(matrix, shard)
-            nbytes = matrix.nbytes
+    def _slab(self, shard: Shard, piece):
         attrs = dict(
             kind="shard_slab", shard=shard.index, tid_start=shard.tid_start,
-            tid_stop=shard.tid_stop, bytes=nbytes,
+            tid_stop=shard.tid_stop, bytes=piece.nbytes,
         )
-        return {"shard": shard.index, "shards": self.plan.n_shards}, attrs, matrix, hybrid
+        return {"shard": shard.index, "shards": self.plan.n_shards}, attrs, piece
 
     def _installed(self) -> None:
         reg = self.metrics.registry
@@ -235,7 +225,7 @@ class ShardedEngine(PartitionedEngine):
         if self.plan.double_buffered:
             kernels = [
                 price_batch(
-                    "complete", n, k, s.n_words, self.cost, self.config, e.hybrid, batch
+                    "complete", n, k, s.n_words, self.cost, self.config, e.table, batch
                 ).kernel
                 for s, e in zip(shards, self.engines)
             ]
@@ -304,23 +294,13 @@ class FleetEngine(PartitionedEngine):
         # registry, but their modeled seconds are not the run's time
         return RunMetrics(self.metrics.algorithm, registry=self.metrics.registry)
 
-    def _replica_bytes(self) -> int:
-        """Device-resident bytes of one full replica of the table."""
-        hybrid = self._hybrid
-        return int(hybrid.device_bytes if hybrid is not None else self._matrix.nbytes)
-
-    def _pieces(self, matrix, hybrid):
+    def _pieces(self, table):
         """One full replica of the table per device."""
-        n, nbytes = self.n_devices, self._replica_bytes()
+        n, nbytes = self.n_devices, table.nbytes
         sharded = self.member_config.sharded
         install = dict(kind="fleet_install", devices=n, replica_bytes=nbytes, sharded=sharded)
         return install, [
-            (
-                {"device": d, "devices": n},
-                dict(kind="fleet_replica", device=d, bytes=nbytes),
-                matrix,
-                hybrid,
-            )
+            ({"device": d, "devices": n}, dict(kind="fleet_replica", device=d, bytes=nbytes), table)
             for d in range(n)
         ]
 
@@ -328,13 +308,13 @@ class FleetEngine(PartitionedEngine):
         # devices sit on independent PCIe endpoints: the uploads overlap,
         # so the makespan advances by a single replica transfer
         self.alive = [True] * len(self.engines)
-        upload = self.cost.transfer_time(self._replica_bytes()).seconds
+        upload = self.cost.transfer_time(self.table.nbytes).seconds
         self._makespan_seconds += upload
         self._single_device_seconds += upload
         reg = self.metrics.registry
         reg.set_gauge("fleet.devices", self.n_devices)
         reg.set_gauge("fleet.devices_alive", self.n_devices)
-        reg.set_gauge("fleet.replica_bytes", self._replica_bytes())
+        reg.set_gauge("fleet.replica_bytes", self.table.nbytes)
         if self.shard_plan is not None:
             reg.set_gauge("fleet.shards_per_device", self.shard_plan.n_shards)
 
@@ -379,7 +359,7 @@ class FleetEngine(PartitionedEngine):
         """
         n, k = candidates.shape
         return price_batch(
-            "complete", n, k, self.n_words, self.cost, self.config, self._hybrid, candidates
+            "complete", n, k, self.n_words, self.cost, self.config, self.table, candidates
         ).seconds
 
     def _add_supports(self, batch, out) -> None:

@@ -9,9 +9,9 @@ stream the pieces through the device, and merge partial results.
 * :class:`ShardPlan` — splits ``[0, n_transactions)`` into word-aligned
   shards, either an explicit count (``shards=``) or sized so two shard
   slabs (double buffering) fit a device-memory budget
-  (``memory_budget_bytes=``).
-* :func:`slice_matrix` — one shard's column slice of a
-  :class:`~repro.bitset.bitset.BitsetMatrix`.
+  (``memory_budget_bytes=``). :meth:`ShardPlan.for_table` plans one
+  generation-1 table, a bitset matrix or a hybrid layout, and each
+  table cuts its own slices (``slice_shard``).
 
 The engine that streams the shards and sums their supports is
 :class:`~repro.core.partitioned.ShardedEngine`; the service's dataset
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..bitset.bitset import WORD_BITS, WORDS_PER_ALIGN, BitsetMatrix, words_for
-from ..bitset.hybrid import HybridLayout
+from ..bitset.hybrid import Table
 from ..errors import ConfigError, DeviceMemoryError
 
-__all__ = ["Shard", "ShardPlan", "slice_matrix"]
+__all__ = ["Shard", "ShardPlan"]
 
 DOUBLE_BUFFER = 2
 """Shard slabs resident at once: one computing, one uploading."""
@@ -207,7 +207,7 @@ class ShardPlan:
 
     @classmethod
     def min_budget_for_matrix(cls, matrix: BitsetMatrix) -> int:
-        """Smallest ``memory_budget_bytes`` :meth:`for_matrix` accepts.
+        """Smallest ``memory_budget_bytes`` :meth:`for_table` accepts for ``matrix``.
 
         One minimum-width single-buffered slab plus the full candidate
         scratch reservation. The service's degradation ladder clamps
@@ -223,63 +223,34 @@ class ShardPlan:
         return matrix.n_items * 4 * min_width + STREAM_SCRATCH_BYTES
 
     @classmethod
-    def for_matrix(
+    def for_table(
         cls,
-        matrix: BitsetMatrix,
+        table: Table,
         shards: int = 0,
         memory_budget_bytes: int | None = None,
     ) -> "ShardPlan":
-        """Plan against an existing matrix's exact word layout."""
-        return cls.build(
-            matrix.n_transactions,
-            matrix.n_items,
-            n_words=matrix.n_words,
-            aligned=matrix.is_aligned(),
-            shards=shards,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        """Plan against a table's exact word layout: its dense rows stream.
 
-    @classmethod
-    def for_layout(
-        cls,
-        layout: HybridLayout,
-        shards: int = 0,
-        memory_budget_bytes: int | None = None,
-    ) -> "ShardPlan":
-        """Plan against a hybrid layout: only the dense block streams.
-
-        Sparse tid-lists (and the row map) ride along whole — they stay
+        A bitset matrix streams every row. A hybrid layout streams its
+        dense block; its tid-lists and row map ride along whole and stay
         resident for the entire run, so their bytes come off the budget
-        before the dense slab widths are sized. The dense block's word
-        columns are then sliced exactly as :meth:`for_matrix` slices a
-        matrix, with ``n_items`` equal to the dense row count only.
+        before the dense slab widths are sized.
         """
         budget = memory_budget_bytes
-        if budget is not None:
-            budget = budget - layout.riding_bytes
+        if budget is not None and table.riding_bytes:
+            budget = budget - table.riding_bytes
             if budget <= 0:
                 raise DeviceMemoryError(
                     f"memory budget {memory_budget_bytes} bytes cannot hold "
-                    f"the hybrid layout's {layout.riding_bytes} resident "
+                    f"the hybrid layout's {table.riding_bytes} resident "
                     "bytes of tid-lists and row map, let alone a dense "
                     "shard slab"
                 )
         return cls.build(
-            layout.n_transactions,
-            layout.n_dense,
-            n_words=layout.n_words,
-            aligned=layout.n_words % WORDS_PER_ALIGN == 0,
+            table.n_transactions,
+            table.n_dense,
+            n_words=table.n_words,
+            aligned=table.n_words % WORDS_PER_ALIGN == 0,
             shards=shards,
             memory_budget_bytes=budget,
         )
-
-
-def slice_matrix(matrix: BitsetMatrix, shard: Shard) -> BitsetMatrix:
-    """One shard's column slice as a standalone (valid) bitset matrix.
-
-    Mid-range shards contain only whole valid words, and the final
-    shard inherits the original tail padding (zeros), so the padding
-    invariant holds and per-shard popcounts never over-count.
-    """
-    words = matrix.words[:, shard.word_start : shard.word_stop]
-    return BitsetMatrix(words, shard.n_transactions)

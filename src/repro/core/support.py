@@ -1,9 +1,19 @@
 """Support-counting engines: vectorized (NumPy) and simulated (gpusim).
 
+Every engine installs one generation-1 table through
+:meth:`SupportEngine.setup`: a :class:`~repro.bitset.bitset.BitsetMatrix`
+or a :class:`~repro.bitset.hybrid.HybridLayout`. Each answers the
+questions an engine asks of it (its size, its install bytes, the
+groups a batch counts over), so the engines do not ask which one they
+hold. Only the kernel-model choice in :func:`price_batch`, the
+simulated engine's device arrays and kernel, the extend plan's
+dense-only refusal and the ``sparse_tids_probed`` counter are
+format-specific.
+
 :class:`VectorizedEngine` resolves each batch's ids to ``(table, rows)``
-groups (the hybrid layout through
-:func:`~repro.bitset.hybrid.hybrid_tables`) and counts every group
-through one executor hook, ``_count``, whose body is
+groups with the table's ``count_groups`` (one group over a matrix; the
+hybrid layout's :func:`~repro.bitset.hybrid.hybrid_tables`) and counts
+every group through one executor hook, ``_count``, whose body is
 :func:`~repro.bitset.ops.support_words`. The third engine,
 :class:`~repro.core.parallel.ParallelEngine`, is a subclass that only
 overrides that hook to run it on the calling thread plus a thread
@@ -24,7 +34,7 @@ All engines expose the same three operations the mining driver needs:
 One function, :func:`price_batch`, prices every counting batch on the
 modeled Tesla T10: candidate upload, kernel and support download, plus
 the dense-row and tid-list traffic. Only it picks the kernel model for
-the kind (complete or extend) and layout (dense or hybrid; extend is
+the kind (complete or extend) and table (dense or hybrid; extend is
 dense only), calls
 :func:`~repro.bitset.hybrid.count_cost_stats` and maps
 ``config.aligned`` to a coalescing factor. The engines record its
@@ -33,7 +43,7 @@ call it for their own estimates.
 
 The vectorized engine computes the same arithmetic with whole-array
 NumPy ops and is the production path. Its extend step keeps only the
-groups it counted, and :meth:`VectorizedEngine.retain` ANDs the rows of
+pairs it counted, and :meth:`VectorizedEngine.retain` ANDs the rows of
 the survivors alone. The simulated engine executes
 the genuine kernels thread-by-thread on :mod:`repro.gpusim` — slow, but
 it is the ground truth for kernel correctness and the source of access
@@ -43,12 +53,12 @@ for the same run, which the test suite asserts.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import HybridLayout, count_cost_stats, hybrid_tables
+from ..bitset.hybrid import HybridLayout, Table, count_cost_stats
 from ..bitset.ops import and_rows, support_words
 from ..errors import BitsetError, ConfigError, DeviceMemoryError, MiningError
 from ..gpusim.device import TESLA_T10, DeviceProperties
@@ -91,18 +101,21 @@ def price_batch(
     n_words: int,
     cost: GpuCostModel,
     config: GPAprioriConfig,
-    layout: Optional[HybridLayout] = None,
+    table: Optional[Table] = None,
     items: Optional[np.ndarray] = None,
 ) -> BatchPrice:
     """Price ``n`` candidates of length ``k`` counted over ``n_words`` words.
 
     ``kind`` is ``"complete"`` (AND all ``k`` generation-1 rows) or
     ``"extend"`` (``k=2``: AND a base row with one item row and write
-    the result back; dense only). Under a hybrid ``layout``, ``items``
-    holds the candidate buffer the batch resolves through it.
+    the result back; dense only). ``table`` is the generation-1 table
+    the batch counts over, if any: a hybrid layout is priced on the
+    hybrid kernel model, with ``items`` the candidate buffer it
+    resolves; a bitset matrix or no table on the dense one.
     """
     if kind not in ("complete", "extend"):
         raise MiningError(f"unknown counting kind {kind!r}")
+    layout = table if isinstance(table, HybridLayout) else None
     if kind == "extend" and layout is not None:
         raise MiningError("extend batches count over the dense layout only")
     shape = dict(
@@ -173,8 +186,7 @@ class SupportEngine:
         self.metrics = metrics
         self.device = device
         self.cost = GpuCostModel(device)
-        self._matrix: Optional[BitsetMatrix] = None
-        self._hybrid: Optional[HybridLayout] = None
+        self._table: Optional[Table] = None
         # Extra attributes merged into every kernel_launch span. The
         # partitioned engines use this to tag each member's launches
         # with its tid-range shard or its device.
@@ -183,50 +195,32 @@ class SupportEngine:
     # -- common bookkeeping -----------------------------------------------------
 
     @property
-    def matrix(self) -> BitsetMatrix:
-        if self._matrix is None:
-            raise MiningError("engine.setup(matrix) must be called before counting")
-        return self._matrix
-
-    @property
-    def hybrid(self) -> Optional[HybridLayout]:
-        """The hybrid layout installed by setup(), or None when all-dense."""
-        return self._hybrid
+    def table(self) -> Table:
+        """The generation-1 table :meth:`setup` installed."""
+        if self._table is None:
+            raise MiningError("engine.setup(table) must be called before counting")
+        return self._table
 
     @property
     def n_words(self) -> int:
-        """Words per generation-1 row, whichever layout is installed."""
-        if self._hybrid is not None:
-            return self._hybrid.n_words
-        return self.matrix.n_words
+        return self.table.n_words
 
     @property
     def n_items(self) -> int:
-        if self._hybrid is not None:
-            return self._hybrid.n_items
-        return self.matrix.n_items
+        return self.table.n_items
 
-    def setup(
-        self,
-        matrix: Optional[BitsetMatrix],
-        hybrid: Optional[HybridLayout] = None,
-    ) -> None:
+    def setup(self, table: Table) -> None:
         """Install the generation-1 table (modeled as one H2D copy).
 
-        With ``hybrid`` given, the dense matrix is *not* shipped — the
-        transfer charge and the resident-byte counter reflect the
-        layout's actual ``device_bytes``, which is the whole point of
+        The charge is ``table.nbytes``: a hybrid layout ships its four
+        arrays, not the dense matrix, which is the whole point of
         hybridizing.
         """
-        if matrix is None and hybrid is None:
-            raise MiningError("engine.setup() needs a matrix or a hybrid layout")
-        self._matrix = matrix
-        self._hybrid = hybrid
-        nbytes = hybrid.device_bytes if hybrid is not None else matrix.nbytes
+        self._table = table
         self.metrics.add_modeled(
-            "htod_bitsets", self.cost.transfer_time(nbytes).seconds
+            "htod_bitsets", self.cost.transfer_time(table.nbytes).seconds
         )
-        self.metrics.add_counter("bitset_bytes_device", nbytes)
+        self.metrics.add_counter("bitset_bytes_device", table.nbytes)
 
     def finalize(self) -> None:
         """Publish end-of-run figures into the metric registry (none here)."""
@@ -249,7 +243,7 @@ class SupportEngine:
         """
         batch = items = np.ascontiguousarray(batch, dtype=np.int64)
         if kind == "extend":
-            if self._hybrid is not None:
+            if not isinstance(self.table, BitsetMatrix):
                 raise MiningError("extend counting needs the dense layout, not hybrid")
             if batch.ndim != 2 or batch.shape[1] != 2:
                 raise MiningError("pairs must be (n, 2) of (prefix_row, item_id)")
@@ -274,11 +268,11 @@ class SupportEngine:
         """
         n, k = batch.shape
         n_words = self.n_words
-        price = price_batch(kind, n, k, n_words, self.cost, self.config, self._hybrid, batch)
+        price = price_batch(kind, n, k, n_words, self.cost, self.config, self.table, batch)
         m = self.metrics
         m.add_modeled("htod_candidates", price.htod)
         m.add_counter("bitset_words_anded", price.dense_entries * n_words)
-        if self._hybrid is not None:
+        if isinstance(self.table, HybridLayout):
             m.add_counter("sparse_tids_probed", price.sparse_tids)
         m.add_modeled("kernel", price.kernel)
         m.add_modeled("dtoh_supports", price.dtoh)
@@ -324,8 +318,7 @@ class VectorizedEngine(SupportEngine):
     def __init__(self, config, metrics, device=TESLA_T10) -> None:
         super().__init__(config, metrics, device)
         self._prefix_rows: Optional[np.ndarray] = None  # None = use gen-1 table
-        # count_extend's batch size and the groups it counted
-        self._pending: Optional[Tuple[int, list]] = None
+        self._pending: Optional[np.ndarray] = None  # count_extend's pairs
 
     def _count(
         self, words: np.ndarray, rows: np.ndarray, base: Optional[np.ndarray] = None
@@ -333,68 +326,48 @@ class VectorizedEngine(SupportEngine):
         """Supports of ``rows`` over ``words`` (column 0 over ``base``)."""
         return support_words(words, rows, base)
 
-    def _groups(self, batch: np.ndarray) -> list:
-        """``(selector, table, rows)`` groups covering a validated batch.
-
-        All-dense tables need no resolving (an extend batch is always
-        dense); under the hybrid layout the candidates resolve through
-        :func:`hybrid_tables`.
-        """
-        if self._hybrid is None:
-            return [(np.ones(batch.shape[0], dtype=bool), self.matrix.words, batch)]
-        return hybrid_tables(self._hybrid, batch)
-
     def _launch(
         self, kind: str, batch: np.ndarray, base: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, list]:
-        """Count one non-empty batch inside its ``kernel_launch`` span.
-
-        Returns the supports and the groups they were counted from.
-        """
+    ) -> np.ndarray:
+        """Count one non-empty batch inside its ``kernel_launch`` span,
+        group by group of :meth:`count_groups` on the installed table."""
         n, k = batch.shape
         with span(
             "kernel_launch", engine=self.name, kind=kind, k=k, candidates=n, **self.span_attrs
         ) as sp:
             supports = np.empty(n, dtype=np.int64)
-            groups = self._groups(batch)
-            for sel, table, rows in groups:
+            for sel, table, rows in self.table.count_groups(batch):
                 supports[sel] = self._count(table, rows, base)
             sp.set(**self._charge(kind, batch))
-        return supports, groups
+        return supports
 
     def count_complete(self, candidates: np.ndarray) -> np.ndarray:
         candidates = self._check_batch("complete", candidates)
         if candidates.shape[0] == 0 or self.n_words == 0:
             return np.zeros(candidates.shape[0], dtype=np.int64)
-        return self._launch("complete", candidates)[0]
+        return self._launch("complete", candidates)
 
     def count_extend(self, pairs: np.ndarray) -> np.ndarray:
         """Count ``(prefix_row, item)`` pairs; :meth:`retain` builds rows.
 
-        Only the resolved groups stay pending, not the ``(n, n_words)``
-        result rows: :meth:`retain` ANDs the rows of the survivors alone.
+        Only the pairs stay pending, not the ``(n, n_words)`` result
+        rows: :meth:`retain` ANDs the rows of the survivors alone.
         """
         base = self._prefix_rows
         pairs = self._check_batch("extend", pairs, None if base is None else base.shape[0])
-        supports, groups = np.zeros(pairs.shape[0], dtype=np.int64), []
+        supports = np.zeros(pairs.shape[0], dtype=np.int64)
         if pairs.shape[0] and self.n_words:
-            supports, groups = self._launch("extend", pairs, base)
-        self._pending = (pairs.shape[0], groups)
+            supports = self._launch("extend", pairs, base)
+        self._pending = pairs
         return supports
 
     def retain(self, indices: np.ndarray) -> None:
         """Keep only the surviving candidates' rows as the prefix cache."""
         if self._pending is None:
             raise MiningError("retain() without a preceding count_extend()")
-        n, groups = self._pending
-        indices = _check_retain_indices(indices, n)
-        base = self._prefix_rows
-        rows = np.empty((indices.size, self.n_words), dtype=np.uint32)
-        for sel, table, ids in groups:
-            keep = sel[indices]
-            # a survivor's row within its group: the selected rows before it
-            rows[keep] = and_rows(table, ids[np.cumsum(sel)[indices[keep]] - 1], base)
-        self._prefix_rows = rows
+        indices = _check_retain_indices(indices, self._pending.shape[0])
+        # extend batches count over the one dense table
+        self._prefix_rows = and_rows(self.table.words, self._pending[indices], self._prefix_rows)
         self._pending = None
         self.metrics.add_counter(
             "prefix_rows_resident_bytes", int(self._prefix_rows.nbytes)
@@ -417,47 +390,29 @@ class SimulatedEngine(SupportEngine):
 
         super().__init__(config, metrics, device)
         self.memory = GlobalMemory(device.global_mem_bytes, registry=metrics.registry)
-        self._bitset_buf = None
-        self._dense_buf = None  # hybrid layout's device arrays
-        self._map_buf = None
-        self._tids_buf = None
-        self._offs_buf = None
+        self._table_bufs: tuple = ()  # the table's device arrays
         self._prefix_buf = None  # None = use gen-1 bitsets
         self._pending_buf = None
         self.last_trace = None
 
-    def setup(
-        self,
-        matrix: Optional[BitsetMatrix],
-        hybrid: Optional[HybridLayout] = None,
-    ) -> None:
-        super().setup(matrix, hybrid)
-        if hybrid is not None:
+    def setup(self, table: Table) -> None:
+        super().setup(table)
+        if isinstance(table, HybridLayout):
             # Per-layout htod accounting: each array of the hybrid
             # layout is allocated and shipped separately, so the
             # transfer.* counters record the bytes actually moved — a
             # fraction of the all-dense matrix on sparse data.
-            self._dense_buf = self.memory.alloc(
-                "hybrid_dense", (hybrid.n_dense, hybrid.n_words), np.uint32
+            arrays = (
+                ("hybrid_dense", table.dense_words),
+                ("hybrid_row_map", table.row_map),
+                ("hybrid_tids", table.sparse_tids),
+                ("hybrid_offsets", table.sparse_offsets),
             )
-            self._map_buf = self.memory.alloc(
-                "hybrid_row_map", (hybrid.n_items,), np.int32
-            )
-            self._tids_buf = self.memory.alloc(
-                "hybrid_tids", (hybrid.sparse_tids.size,), np.int32
-            )
-            self._offs_buf = self.memory.alloc(
-                "hybrid_offsets", (hybrid.sparse_offsets.size,), np.int64
-            )
-            self.memory.htod(self._dense_buf, hybrid.dense_words)
-            self.memory.htod(self._map_buf, hybrid.row_map)
-            self.memory.htod(self._tids_buf, hybrid.sparse_tids)
-            self.memory.htod(self._offs_buf, hybrid.sparse_offsets)
-            return
-        self._bitset_buf = self.memory.alloc(
-            "bitsets", (matrix.n_items, matrix.n_words), np.uint32
-        )
-        self.memory.htod(self._bitset_buf, matrix.words)
+        else:
+            arrays = (("bitsets", table.words),)
+        self._table_bufs = tuple(self.memory.alloc(name, a.shape, a.dtype) for name, a in arrays)
+        for buf, (_, a) in zip(self._table_bufs, arrays):
+            self.memory.htod(buf, a)
 
     def _block_dim(self) -> int:
         # Functional runs shrink oversized blocks to the word count's
@@ -534,6 +489,11 @@ class SimulatedEngine(SupportEngine):
         n, k = candidates.shape
         if n == 0 or self.n_words == 0:
             return np.zeros(n, dtype=np.int64)
+        if isinstance(self.table, HybridLayout):
+            kernel, n_tx = hybrid_support_count_kernel, (self.table.n_transactions,)
+        else:
+            kernel, n_tx = support_count_kernel, ()
+        preload = self.config.preload_candidates
         out = np.empty(n, dtype=np.int64)
         chunk = self._chunk_size(n, k * 4 + 8)  # candidate ids + support slot
         with span(
@@ -549,30 +509,7 @@ class SimulatedEngine(SupportEngine):
                 try:
                     self.memory.htod(cand_buf, candidates[start:stop])
                     sup_buf = self.memory.alloc("supports", (m,), np.int64)
-                    if self._hybrid is not None:
-                        kernel = hybrid_support_count_kernel
-                        args = (
-                            self._dense_buf,
-                            self._map_buf,
-                            self._tids_buf,
-                            self._offs_buf,
-                            cand_buf,
-                            k,
-                            self.n_words,
-                            self._hybrid.n_transactions,
-                            sup_buf,
-                            self.config.preload_candidates,
-                        )
-                    else:
-                        kernel = support_count_kernel
-                        args = (
-                            self._bitset_buf,
-                            cand_buf,
-                            k,
-                            self.n_words,
-                            sup_buf,
-                            self.config.preload_candidates,
-                        )
+                    args = (*self._table_bufs, cand_buf, k, self.n_words, *n_tx, sup_buf, preload)
                     self._launch(kernel, m, k, args)
                     out[start:stop] = self.memory.dtoh(sup_buf)
                 finally:
@@ -597,7 +534,8 @@ class SimulatedEngine(SupportEngine):
             )
             return np.zeros(n, dtype=np.int64)
         # generation 2 extends the items' own bitset rows
-        prefix_buf = self._bitset_buf if self._prefix_buf is None else self._prefix_buf
+        (bitset_buf,) = self._table_bufs
+        prefix_buf = bitset_buf if self._prefix_buf is None else self._prefix_buf
         with span(
             "kernel_launch", engine="simulated", kind="extend", k=2, candidates=n, **self.span_attrs
         ) as sp:
@@ -630,9 +568,7 @@ class SimulatedEngine(SupportEngine):
                                 "prefix_rows_stage", (m, n_words), np.uint32
                             )
                         row_buf = out_rows if single else stage_buf
-                        args = (
-                            prefix_buf, self._bitset_buf, pair_buf, n_words, row_buf, sup_buf
-                        )
+                        args = (prefix_buf, bitset_buf, pair_buf, n_words, row_buf, sup_buf)
                         self._launch(extend_kernel, m, 2, args)
                         supports[start:stop] = self.memory.dtoh(sup_buf)
                         if not single:

@@ -320,12 +320,9 @@ class DatasetRegistry:
             if hybrid is None:
                 hybrid = build_layout(matrix, self.layout, self.dense_threshold)
             plan = None
-            budget = self.device_budget_bytes
-            if budget is not None:
-                if hybrid is not None and hybrid.device_bytes > budget:
-                    plan = ShardPlan.for_layout(hybrid, memory_budget_bytes=budget)
-                elif hybrid is None and matrix.nbytes > budget:
-                    plan = ShardPlan.for_matrix(matrix, memory_budget_bytes=budget)
+            budget, table = self.device_budget_bytes, hybrid or matrix
+            if budget is not None and table.nbytes > budget:
+                plan = ShardPlan.for_table(table, memory_budget_bytes=budget)
             entry = DatasetEntry(
                 name=name,
                 db=db,

@@ -63,6 +63,23 @@ class TestConstruction:
         with pytest.raises(BitsetError, match="padding"):
             BitsetMatrix(words, n_transactions=10)
 
+    @pytest.mark.parametrize("valid_in_last", [0, 5, 31])
+    @pytest.mark.parametrize("first_padding_bit", [True, False])
+    def test_validation_finds_one_padding_bit_in_the_last_word(
+        self, valid_in_last, first_padding_bit
+    ):
+        """Every column before the last is all ones; the last word holds
+        ``valid_in_last`` valid bits, then one stray padding bit."""
+        n_tx = 15 * 32 + valid_in_last
+        bits = np.zeros((3, 16 * 32), dtype=np.uint8)
+        bits[:, :n_tx] = 1
+        words = np.packbits(bits, axis=1, bitorder="little").view(np.uint32)
+        assert BitsetMatrix(words, n_tx).supports().tolist() == [n_tx] * 3
+        words = words.copy()
+        words[2, 15] |= np.uint32(1 << (valid_in_last if first_padding_bit else 31))
+        with pytest.raises(BitsetError, match="padding"):
+            BitsetMatrix(words, n_transactions=n_tx)
+
     def test_validation_rejects_too_few_words(self):
         with pytest.raises(BitsetError):
             BitsetMatrix(np.zeros((1, 1), dtype=np.uint32), n_transactions=64)

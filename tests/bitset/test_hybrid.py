@@ -75,6 +75,21 @@ class TestConstruction:
         np.testing.assert_array_equal(a.dense_words, b.dense_words)
         np.testing.assert_array_equal(a.sparse_tids, b.sparse_tids)
 
+    @pytest.mark.parametrize("tids", [[3, 3], [5, 3]])
+    def test_rejects_a_tid_list_that_does_not_strictly_increase(self, tids):
+        with pytest.raises(BitsetError, match="slot 0 is not strictly increasing"):
+            HybridLayout.from_parts(np.zeros((0, 16), np.uint32), [-1], tids, [0, 2], 40)
+
+    def test_tid_lists_restart_at_each_slot(self):
+        """Ids may fall from one slot's last to the next slot's first,
+        past an empty slot too; a repeat inside a later slot is named."""
+        parts = (np.zeros((0, 16), np.uint32), [-1, -2, -3])
+        layout = HybridLayout.from_parts(*parts, [5, 7, 1, 2], [0, 0, 2, 4], 40)
+        assert layout.item_tidset(1).tolist() == [5, 7]
+        assert layout.item_tidset(2).tolist() == [1, 2]
+        with pytest.raises(BitsetError, match="slot 2 is not strictly increasing"):
+            HybridLayout.from_parts(*parts, [5, 7, 2, 2], [0, 0, 2, 4], 40)
+
     def test_byte_accounting(self, matrix):
         layout = HybridLayout.from_matrix(matrix, 0.5)
         assert layout.device_bytes == (
@@ -194,7 +209,7 @@ class TestCounting:
 class TestSharding:
     def test_slice_shard_supports_are_additive(self, matrix):
         layout = HybridLayout.from_matrix(matrix, 0.5)
-        plan = ShardPlan.for_layout(layout, shards=3)
+        plan = ShardPlan.for_table(layout, shards=3)
         n = matrix.n_items
         pairs = np.array(
             [(a, b) for a in range(n) for b in range(a + 1, n)],
@@ -214,7 +229,7 @@ class TestSharding:
 
         layout = HybridLayout.from_matrix(matrix, 0.5)
         with pytest.raises(DeviceMemoryError, match="resident bytes"):
-            ShardPlan.for_layout(
+            ShardPlan.for_table(
                 layout, memory_budget_bytes=layout.riding_bytes
             )
 
@@ -246,7 +261,7 @@ class TestBuildersMatchPerItemLoops:
 
     def test_slice_shard_tids(self, wide):
         layout = HybridLayout.from_matrix(wide, 0.2)
-        for shard in ShardPlan.for_layout(layout, shards=4).shards:
+        for shard in ShardPlan.for_table(layout, shards=4).shards:
             sub = layout.slice_shard(shard)
             for slot in range(layout.n_sparse):
                 lo, hi = layout.sparse_offsets[slot], layout.sparse_offsets[slot + 1]

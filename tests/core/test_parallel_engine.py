@@ -59,7 +59,7 @@ def hybrid_engine(db):
     assert 0 < layout.n_dense < layout.n_items
     eng = ParallelEngine(GPAprioriConfig(engine="parallel", workers=2), RunMetrics())
     eng.min_parallel = 1
-    eng.setup(None, hybrid=layout)
+    eng.setup(layout)
     return eng
 
 

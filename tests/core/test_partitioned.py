@@ -43,10 +43,7 @@ def db():
 def _installed(db, layout, **knobs):
     engine = make_engine(GPAprioriConfig(layout=layout, **knobs), RunMetrics())
     matrix = BitsetMatrix.from_database(db, aligned=True)
-    if layout == "hybrid":
-        engine.setup(None, hybrid=HybridLayout.from_matrix(matrix, 0.1))
-    else:
-        engine.setup(matrix)
+    engine.setup(HybridLayout.from_matrix(matrix, 0.1) if layout == "hybrid" else matrix)
     return engine
 
 

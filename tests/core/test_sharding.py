@@ -8,7 +8,7 @@ from repro.core.config import GPAprioriConfig
 from repro.core.gpapriori import gpapriori_mine
 from repro.core.itemset import RunMetrics
 from repro.core.partitioned import ShardedEngine
-from repro.core.sharding import Shard, ShardPlan, slice_matrix
+from repro.core.sharding import Shard, ShardPlan
 from repro.core.support import make_engine
 from repro.errors import ConfigError, DeviceMemoryError, MiningError
 
@@ -80,7 +80,7 @@ class TestShardPlan:
 
     def test_total_bytes_is_matrix_footprint(self, small_db):
         matrix = BitsetMatrix.from_database(small_db)
-        plan = ShardPlan.for_matrix(matrix, shards=2)
+        plan = ShardPlan.for_table(matrix, shards=2)
         assert plan.total_bytes == matrix.nbytes
 
     def test_repr_mentions_ranges(self):
@@ -91,16 +91,16 @@ class TestShardPlan:
 class TestSliceMatrix:
     def test_slices_reassemble_to_original(self, small_db):
         matrix = BitsetMatrix.from_database(small_db, aligned=False)
-        plan = ShardPlan.for_matrix(matrix, shards=3)
-        slabs = [slice_matrix(matrix, s) for s in plan.shards]
+        plan = ShardPlan.for_table(matrix, shards=3)
+        slabs = [matrix.slice_shard(s) for s in plan.shards]
         joined = np.concatenate([s.words for s in slabs], axis=1)
         assert np.array_equal(joined, matrix.words)
 
     def test_per_shard_supports_sum_to_global(self, small_db):
         matrix = BitsetMatrix.from_database(small_db, aligned=False)
-        plan = ShardPlan.for_matrix(matrix, shards=3)
+        plan = ShardPlan.for_table(matrix, shards=3)
         full = matrix.supports()
-        partial = sum(slice_matrix(matrix, s).supports() for s in plan.shards)
+        partial = sum(matrix.slice_shard(s).supports() for s in plan.shards)
         assert np.array_equal(partial, full)
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the vectorized and simulated counting engines."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,61 @@ class TestMakeEngine:
             eng.count_complete(np.array([[0]]))
 
 
+class TestOneTable:
+    # the only places where the generation-1 table's format may matter
+    FORMAT_SITES = {
+        "core/support.py:price_batch",  # the kernel model
+        "core/support.py:SupportEngine._check_batch",  # extend is dense only
+        "core/support.py:SupportEngine._charge",  # sparse_tids_probed
+        "core/support.py:SimulatedEngine.setup",  # device arrays
+        "core/support.py:SimulatedEngine.count_complete",  # kernel
+        "core/gpapriori.py:gpapriori_mine",  # transpose attrs, layout.* gauges
+    }
+
+    def test_format_is_tested_only_at_its_sites(self):
+        """No function in core/ or service/ asks which table it holds,
+        outside the sites above."""
+        root = Path(support_mod.__file__).parents[1]
+        found = set()
+        for path in [*root.glob("core/*.py"), *root.glob("service/*.py")]:
+            tree = ast.parse(path.read_text())
+            scopes = [("", node) for node in tree.body]
+            while scopes:
+                prefix, node = scopes.pop()
+                if isinstance(node, ast.ClassDef):
+                    scopes += [(f"{node.name}.", child) for child in node.body]
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                for call in ast.walk(node):
+                    if (
+                        isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "isinstance"
+                        and {getattr(n, "id", None) for n in ast.walk(call.args[1])}
+                        & {"BitsetMatrix", "HybridLayout"}
+                    ):
+                        found.add(f"{path.parent.name}/{path.name}:{prefix}{node.name}")
+        assert found == self.FORMAT_SITES
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"engine": "simulated"}, {"engine": "multigpu", "devices": 2}, {"shards": 2}],
+        ids=["vectorized", "simulated", "multigpu", "sharded"],
+    )
+    def test_setup_installs_either_table(self, paper_db, knobs):
+        from repro.bitset.hybrid import HybridLayout
+
+        matrix = BitsetMatrix.from_database(paper_db)
+        cands = np.array([[1, 4], [3, 4], [2, 5], [0, 7]])
+        got = []
+        for table in (matrix, HybridLayout.from_matrix(matrix, 0.5)):
+            eng = make_engine(GPAprioriConfig(**knobs), RunMetrics())
+            eng.setup(table)
+            assert eng.table is table
+            assert (eng.n_items, eng.n_words) == (table.n_items, table.n_words)
+            got.append(eng.count_complete(cands).tolist())
+        assert got[0] == got[1] == [paper_db.support(c) for c in cands]
+
+
 class TestCountComplete:
     def test_engines_agree(self, paper_db):
         v, s = engines(paper_db)
@@ -71,7 +129,7 @@ class TestCountComplete:
         v.count_complete(np.array([[1, 4]]))
         c = v.metrics.counters
         assert c["candidates_counted"] == 1
-        assert c["bitset_words_anded"] == 2 * v.matrix.n_words
+        assert c["bitset_words_anded"] == 2 * v.table.n_words
 
 
 class TestZeroWordTables:
@@ -86,7 +144,7 @@ class TestZeroWordTables:
         metrics = RunMetrics()
         eng = make_engine(GPAprioriConfig(engine=engine_name, workers=2), metrics)
         if layout == "hybrid":
-            eng.setup(None, hybrid=HybridLayout.from_parts(
+            eng.setup(HybridLayout.from_parts(
                 np.zeros((2, 0), np.uint32), [0, 1], [], [0], 0
             ))
         else:

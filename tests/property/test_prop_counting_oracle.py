@@ -287,7 +287,7 @@ class TestCorePaths:
         layout = hybrid_layout(transactions, n_items, n_words, dense, range(n_items))
         engine = ParallelEngine(GPAprioriConfig(engine="parallel", workers=3), RunMetrics())
         engine.min_parallel = 1
-        engine.setup(None, layout)
+        engine.setup(layout)
         try:
             with slice_runs(min_run):
                 got = engine.count_complete(as_array(candidates, k))

@@ -45,14 +45,9 @@ def shard_budget(db, layout: str, dense_threshold: float) -> int:
     """A budget that holds the layout's resident tid-lists and cuts its
     unaligned dense rows into at most three tid-range shards."""
     matrix = BitsetMatrix.from_database(db, aligned=False)
-    hybrid = build_layout(matrix, layout, dense_threshold)
-    budget = ShardPlan.min_budget_for_matrix(matrix)
-    if hybrid is None:
-        plan_for = partial(ShardPlan.for_matrix, matrix)
-    else:
-        plan_for = partial(ShardPlan.for_layout, hybrid)
-        budget += hybrid.riding_bytes
-    while plan_for(memory_budget_bytes=budget).n_shards > 3:
+    table = build_layout(matrix, layout, dense_threshold) or matrix
+    budget = ShardPlan.min_budget_for_matrix(matrix) + table.riding_bytes
+    while ShardPlan.for_table(table, memory_budget_bytes=budget).n_shards > 3:
         budget += 4 * max(matrix.n_items, 1) * max(1, matrix.n_words // 16)
     return budget
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import GPAprioriConfig, gpapriori_mine
 from repro.bitset import BitsetMatrix
-from repro.core.sharding import ShardPlan, slice_matrix
+from repro.core.sharding import ShardPlan
 from tests.conftest import brute_force_frequent
 from tests.property.strategies import priced_alike, tight_device, transaction_databases
 
@@ -57,7 +57,7 @@ class TestShardedExactness:
             shards, budget = 2, matrix.nbytes + 2048
         else:
             shards, budget = 0, data.draw(st.integers(matrix.nbytes * 3 // 4, matrix.nbytes - 1))
-        plan = ShardPlan.for_matrix(matrix, shards=shards, memory_budget_bytes=budget)
+        plan = ShardPlan.for_table(matrix, shards=shards, memory_budget_bytes=budget)
         assert plan.n_shards >= 2
         cfg = GPAprioriConfig(
             engine=engine, aligned=False, shards=shards, memory_budget_bytes=budget
@@ -92,6 +92,6 @@ class TestPlanInvariants:
         import numpy as np
 
         matrix = BitsetMatrix.from_database(db, aligned=aligned)
-        plan = ShardPlan.for_matrix(matrix, shards=shards)
-        total = sum(slice_matrix(matrix, s).supports() for s in plan.shards)
+        plan = ShardPlan.for_table(matrix, shards=shards)
+        total = sum(matrix.slice_shard(s).supports() for s in plan.shards)
         assert np.array_equal(np.asarray(total), matrix.supports())
