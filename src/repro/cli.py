@@ -470,14 +470,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         engine_kwargs["layout"] = args.layout
     if args.dense_threshold is not None:
         engine_kwargs["dense_threshold"] = args.dense_threshold
-    if engine_kwargs and args.algorithm != "gpapriori":
-        _emit(
-            f"error: --engine/--workers/--devices/--shards/--memory-budget/"
-            f"--layout/--dense-threshold apply to the gpapriori algorithm, "
-            f"not {args.algorithm!r}",
-            file=sys.stderr,
-        )
-        return 2
     faults = None
     if args.inject_fault:
         from .faults import FaultPlan, parse_fault_spec

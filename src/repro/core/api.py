@@ -42,8 +42,7 @@ _GPAPRIORI_ACCEPTS: Tuple[str, ...] = (
     "max_k",
     "config",
     "device",
-    "matrix",
-    "hybrid",
+    "table",
     *GPAprioriConfig.__dataclass_fields__,
 )
 
@@ -170,8 +169,9 @@ def mine(db, min_support, algorithm: str = "gpapriori", **kwargs) -> MiningResul
         everywhere — the plan is activated around the run regardless
         of algorithm; GPApriori's ``config=`` or individual config
         fields (``engine=``, ``shards=``, ``memory_budget_bytes=``,
-        ...), never both, plus ``matrix=`` for a pre-built (pinned)
-        bitset matrix; Eclat's ``diffsets=True``;
+        ...), never both, plus ``table=`` for a pre-built (pinned)
+        generation-1 table, a bitset matrix or a hybrid layout,
+        installed as given; Eclat's ``diffsets=True``;
         Partition's ``n_partitions=``; ``balancer=``/``config=``/
         ``device=`` for the hybrid and GPU-Eclat extensions. An option
         the algorithm does not accept raises

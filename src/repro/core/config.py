@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .._validation import check_non_negative_int, check_positive_int
 from ..errors import ConfigError
 
 __all__ = ["GPAprioriConfig"]
@@ -128,34 +129,16 @@ class GPAprioriConfig:
             raise ConfigError(
                 f"block_size must be a positive power of two, got {self.block_size}"
             )
-        if not isinstance(self.unroll, int) or isinstance(self.unroll, bool) or self.unroll < 1:
-            raise ConfigError(f"unroll must be an int >= 1, got {self.unroll!r}")
+        check_positive_int(self.unroll, "unroll", ConfigError)
+        for name in ("workers", "shards", "devices"):
+            check_non_negative_int(getattr(self, name), name, ConfigError)
+        if self.memory_budget_bytes is not None:
+            check_positive_int(self.memory_budget_bytes, "memory_budget_bytes", ConfigError)
         if self.plan not in _VALID_PLANS:
             raise ConfigError(f"plan must be one of {_VALID_PLANS}, got {self.plan!r}")
         if self.engine not in _VALID_ENGINES:
             raise ConfigError(
                 f"engine must be one of {_VALID_ENGINES}, got {self.engine!r}"
-            )
-        if (
-            not isinstance(self.workers, int)
-            or isinstance(self.workers, bool)
-            or self.workers < 0
-        ):
-            raise ConfigError(f"workers must be an int >= 0, got {self.workers!r}")
-        if (
-            not isinstance(self.shards, int)
-            or isinstance(self.shards, bool)
-            or self.shards < 0
-        ):
-            raise ConfigError(f"shards must be an int >= 0, got {self.shards!r}")
-        if self.memory_budget_bytes is not None and (
-            not isinstance(self.memory_budget_bytes, int)
-            or isinstance(self.memory_budget_bytes, bool)
-            or self.memory_budget_bytes < 1
-        ):
-            raise ConfigError(
-                "memory_budget_bytes must be a positive int or None, "
-                f"got {self.memory_budget_bytes!r}"
             )
         if self.layout not in _VALID_LAYOUTS:
             raise ConfigError(
@@ -175,12 +158,6 @@ class GPAprioriConfig:
                 raise ConfigError(
                     "dense_threshold requires layout='hybrid' or 'auto'"
                 )
-        if (
-            not isinstance(self.devices, int)
-            or isinstance(self.devices, bool)
-            or self.devices < 0
-        ):
-            raise ConfigError(f"devices must be an int >= 0, got {self.devices!r}")
         if self.devices and self.engine != "multigpu":
             raise ConfigError(
                 f"devices={self.devices} requires engine='multigpu', "

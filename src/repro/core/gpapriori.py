@@ -24,7 +24,7 @@ from functools import partial
 
 from .._validation import check_query
 from ..bitset.bitset import BitsetMatrix
-from ..bitset.hybrid import HybridLayout, build_layout
+from ..bitset.hybrid import HybridLayout, Table, build_layout
 from ..errors import MiningError
 from ..gpusim.device import TESLA_T10, DeviceProperties
 from ..obs import mining_run, span
@@ -34,7 +34,32 @@ from .levelwise import levelwise
 from .plans import make_plan
 from .support import make_engine
 
-__all__ = ["gpapriori_mine"]
+__all__ = ["gpapriori_mine", "generation1_table"]
+
+
+def generation1_table(
+    db,
+    config: GPAprioriConfig,
+    matrix: BitsetMatrix | None = None,
+    hybrid: HybridLayout | None = None,
+) -> Table:
+    """The generation-1 table ``config`` asks for on ``db``.
+
+    ``hybrid``, a pinned hybrid layout, is taken when the config asks
+    for a hybrid table at its threshold. Otherwise
+    :func:`~repro.bitset.hybrid.build_layout` classifies ``matrix``, a
+    pinned aligned bitset matrix, for an aligned config, or a fresh
+    transpose, and may keep the all-dense matrix.
+    """
+    if (
+        hybrid is not None
+        and config.layout != "dense"
+        and config.dense_threshold in (None, hybrid.dense_threshold)
+    ):
+        return hybrid
+    if matrix is None or not config.aligned:
+        matrix = BitsetMatrix.from_database(db, aligned=config.aligned)
+    return build_layout(matrix, config.layout, config.dense_threshold) or matrix
 
 
 def gpapriori_mine(
@@ -43,8 +68,7 @@ def gpapriori_mine(
     config: GPAprioriConfig | None = None,
     device: DeviceProperties = TESLA_T10,
     max_k: int | None = None,
-    matrix: BitsetMatrix | None = None,
-    hybrid: HybridLayout | None = None,
+    table: Table | None = None,
 ) -> MiningResult:
     """Mine all frequent itemsets of ``db`` with GPApriori.
 
@@ -62,19 +86,15 @@ def gpapriori_mine(
         Device sheet for the simulator and the cost model.
     max_k:
         Optional cap on itemset length (None = run to exhaustion).
-    matrix:
-        Optional pre-built vertical bitset matrix of ``db``. The
-        mining service's dataset registry pins one per dataset so the
-        O(db) transpose happens once per dataset, not once per query;
-        it must match ``db``'s dimensions and ``config.aligned``.
-    hybrid:
-        Optional pre-built :class:`~repro.bitset.hybrid.HybridLayout`
-        of ``db`` (the registry's pinned classification). Requires
-        ``config.layout`` of ``"hybrid"`` or ``"auto"`` and is used
-        as-is — the caller decided the threshold when building it.
-        Without it, :func:`~repro.bitset.hybrid.build_layout` picks
-        the table from the (possibly pinned) matrix and
-        ``config.layout``.
+    table:
+        Optional pre-built generation-1 table of ``db``: a
+        :class:`~repro.bitset.bitset.BitsetMatrix` or a
+        :class:`~repro.bitset.hybrid.HybridLayout`. It is installed as
+        given (the caller chose its format, alignment and threshold)
+        and must match ``db``'s dimensions. The mining service pins
+        one per dataset, so the O(db) transpose happens once per
+        dataset, not once per query. Without it,
+        :func:`generation1_table` builds the one ``config`` asks for.
 
     Returns
     -------
@@ -105,19 +125,14 @@ def gpapriori_mine(
         run_attrs["shards"] = config.shards or "auto"
         if config.memory_budget_bytes is not None:
             run_attrs["memory_budget_bytes"] = config.memory_budget_bytes
-    for what, pinned in (("matrix", matrix), ("hybrid layout", hybrid)):
-        if pinned is not None and (pinned.n_items, pinned.n_transactions) != (
-            db.n_items, db.n_transactions
-        ):
-            raise MiningError(
-                f"pinned {what} shape ({pinned.n_items} items x "
-                f"{pinned.n_transactions} transactions) does not match the "
-                f"database ({db.n_items} x {db.n_transactions})"
-            )
-    if matrix is not None and config.aligned and not matrix.is_aligned():
-        raise MiningError("config.aligned=True but the pinned matrix is not 64-byte aligned")
-    if hybrid is not None and config.layout == "dense":
-        raise MiningError("hybrid= requires config.layout='hybrid' or 'auto'")
+    if table is not None and (table.n_items, table.n_transactions) != (
+        db.n_items, db.n_transactions
+    ):
+        raise MiningError(
+            f"pinned table shape ({table.n_items} items x "
+            f"{table.n_transactions} transactions) does not match the "
+            f"database ({db.n_items} x {db.n_transactions})"
+        )
     if config.layout != "dense":
         run_attrs["layout"] = config.layout
         if config.dense_threshold is not None:
@@ -127,13 +142,10 @@ def gpapriori_mine(
         with span(
             "transpose",
             aligned=config.aligned,
-            pinned=matrix is not None or hybrid is not None,
+            pinned=table is not None,
         ) as sp:
-            table = hybrid
             if table is None:
-                if matrix is None:
-                    matrix = BitsetMatrix.from_database(db, aligned=config.aligned)
-                table = build_layout(matrix, config.layout, config.dense_threshold) or matrix
+                table = generation1_table(db, config)
             sp.set(n_items=table.n_items, n_words=table.n_words, bytes=table.nbytes)
             layout = table if isinstance(table, HybridLayout) else None
             if layout is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..bitset.bitset import WORD_BITS, WORDS_PER_ALIGN, BitsetMatrix, words_for
+from ..bitset.bitset import WORD_BITS, WORDS_PER_ALIGN, words_for
 from ..bitset.hybrid import Table
 from ..errors import ConfigError, DeviceMemoryError
 
@@ -40,6 +40,12 @@ simulated engine still needs room to stage candidate ids and support
 slots (chunked, so a small reserve suffices for correctness). Planning
 never hands all of the budget to slabs — at least
 ``min(STREAM_SCRATCH_BYTES, budget // 4)`` stays free."""
+
+
+def _align_words(n_words: int, aligned: bool = True) -> int:
+    """The shard-width unit: the paper's 64-byte alignment unit when
+    the rows keep it, else one word."""
+    return WORDS_PER_ALIGN if aligned and n_words % WORDS_PER_ALIGN == 0 else 1
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ class ShardPlan:
             raise ConfigError(f"shards must be >= 0, got {shards}")
         if n_words is None:
             n_words = words_for(n_transactions, aligned=aligned)
-        align = WORDS_PER_ALIGN if (aligned and n_words % WORDS_PER_ALIGN == 0) else 1
+        align = _align_words(n_words, aligned)
 
         width = n_words
         double_buffered = True
@@ -206,21 +212,30 @@ class ShardPlan:
         )
 
     @classmethod
-    def min_budget_for_matrix(cls, matrix: BitsetMatrix) -> int:
-        """Smallest ``memory_budget_bytes`` :meth:`for_table` accepts for ``matrix``.
+    def min_budget(cls, table: Table) -> int:
+        """Smallest ``memory_budget_bytes`` :meth:`for_table` plans ``table`` under.
 
-        One minimum-width single-buffered slab plus the full candidate
-        scratch reservation. The service's degradation ladder clamps
-        its halved budget here so "degrade to sharded" can never ask
-        for a plan that is impossible by construction.
+        The table's riding bytes, one minimum-width single-buffered
+        slab of its ``n_dense`` rows, and the full candidate scratch
+        reservation. The service's degradation ladder clamps its halved
+        budget here, so "degrade to sharded" never asks for a plan that
+        is impossible by construction.
+
+        >>> from repro.bitset.hybrid import HybridLayout
+        >>> from repro.datasets import TransactionDatabase
+        >>> db = TransactionDatabase([[0, 1], [0, 2], [0], [0, 1, 3]] * 300)
+        >>> layout = HybridLayout.from_database(db, 0.5)  # 2 of 4 rows dense
+        >>> layout.riding_bytes, ShardPlan.min_budget(layout)  # + 2 x 16 words x 4 + 1024
+        (2440, 3592)
+        >>> ShardPlan.for_table(layout, memory_budget_bytes=3592).n_shards
+        1
+        >>> ShardPlan.for_table(layout, memory_budget_bytes=layout.riding_bytes)
+        Traceback (most recent call last):
+            ...
+        repro.errors.DeviceMemoryError: memory budget 2440 bytes cannot hold the hybrid layout's 2440 resident bytes of tid-lists and row map, let alone a dense shard slab
         """
-        align = (
-            WORDS_PER_ALIGN
-            if matrix.is_aligned() and matrix.n_words % WORDS_PER_ALIGN == 0
-            else 1
-        )
-        min_width = max(1, min(align, matrix.n_words))
-        return matrix.n_items * 4 * min_width + STREAM_SCRATCH_BYTES
+        min_width = min(_align_words(table.n_words), table.n_words)
+        return table.riding_bytes + table.n_dense * 4 * min_width + STREAM_SCRATCH_BYTES
 
     @classmethod
     def for_table(
@@ -250,7 +265,6 @@ class ShardPlan:
             table.n_transactions,
             table.n_dense,
             n_words=table.n_words,
-            aligned=table.n_words % WORDS_PER_ALIGN == 0,
             shards=shards,
             memory_budget_bytes=budget,
         )

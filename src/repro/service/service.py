@@ -36,8 +36,11 @@ from functools import partial
 from typing import Dict, Hashable, Optional
 
 from .._validation import check_support
+from ..bitset.hybrid import Table
 from ..core.api import ALGORITHMS
+from ..core.gpapriori import generation1_table
 from ..core.request import MiningRequest
+from ..core.sharding import ShardPlan
 from ..datasets.characterize import DatasetProfile
 from ..errors import (
     DeviceMemoryError,
@@ -104,11 +107,11 @@ class QueryResponse:
 
 
 # options the service controls itself and refuses from callers: the
-# Python-object options ("config", "device", "matrix", "hybrid",
-# "balancer"; the pinned layouts belong to the registry, clients pick
-# layout= instead) and "faults" (chaos plans come from the operator's
-# env knob, never from a client of a shared service)
-_RESERVED_OPTIONS = ("balancer", "config", "device", "faults", "hybrid", "matrix")
+# Python-object options ("config", "device", "table", "balancer"; the
+# pinned tables belong to the registry, clients pick layout= instead)
+# and "faults" (chaos plans come from the operator's env knob, never
+# from a client of a shared service)
+_RESERVED_OPTIONS = ("balancer", "config", "device", "faults", "table")
 
 
 class MiningService:
@@ -483,41 +486,37 @@ class MiningService:
             algorithm=request.algorithm,
             abs_support=abs_support,
         ) as cold_span:
+            table = None
+            if request.config is not None:
+                table = generation1_table(entry.db, request.config, entry.matrix, entry.hybrid)
             try:
                 result = self.retry.call(
-                    lambda: self._run_mine(entry, request, abs_support),
+                    lambda: self._run_mine(entry, request, abs_support, table),
                     retry_on=(DeviceMemoryError,),
                     metrics=self.metrics,
                     site="device_memory",
                     attempts=2,
                 )
             except DeviceMemoryError as exc:
-                if request.algorithm != "gpapriori":
+                if table is None:
                     raise
-                result = self._mine_degraded(entry, request, abs_support, exc)
+                result = self._mine_degraded(entry, request, abs_support, table, exc)
                 cold_span.set(degraded=True)
         self.cache.store(key, result, abs_support, request.max_k)
         self.metrics.observe("service.cold_seconds", time.perf_counter() - t0)
         return result
 
-    def _run_mine(self, entry: DatasetEntry, request: MiningRequest, abs_support: int):
-        """Mine ``request`` on ``entry``, reusing its pinned layouts.
-
-        A GPApriori run gets the pinned matrix when its config is
-        aligned, and the pinned hybrid layout when its config asks for
-        a hybrid table at the threshold the registry built it with.
-        """
+    def _run_mine(
+        self,
+        entry: DatasetEntry,
+        request: MiningRequest,
+        abs_support: int,
+        table: Optional[Table],
+    ):
+        """Mine ``request`` on ``entry``; a GPApriori run installs ``table``."""
         kwargs = request.runner_kwargs()
-        config = request.config
-        if config is not None:
-            if config.aligned:
-                kwargs["matrix"] = entry.matrix
-            if (
-                config.layout != "dense"
-                and entry.hybrid is not None
-                and config.dense_threshold in (None, entry.hybrid.dense_threshold)
-            ):
-                kwargs["hybrid"] = entry.hybrid
+        if table is not None:
+            kwargs["table"] = table
         return ALGORITHMS[request.algorithm].runner(entry.db, abs_support, **kwargs)
 
     def _mine_degraded(
@@ -525,28 +524,24 @@ class MiningService:
         entry: DatasetEntry,
         request: MiningRequest,
         abs_support: int,
+        table: Table,
         cause: DeviceMemoryError,
     ):
-        """Re-mine under a halved, sharded memory budget after OOM.
+        """Re-mine ``table`` under a halved, sharded memory budget after OOM.
 
         The degraded run uses ``plan="complete"``: the paper's answer to
         the device-memory wall, and the only plan a sharded run takes,
         so an equivalence-class query drops its prefix cache here.
         """
-        from ..core.sharding import ShardPlan
-
         config = request.config
         base_budget = (
             config.memory_budget_bytes
             or self.registry.device_budget_bytes
-            or entry.matrix.nbytes
+            or table.nbytes
         )
         # Halve the budget, but never below the smallest plan the shard
-        # math can build — a degraded mine must stay feasible.
-        halved = max(
-            ShardPlan.min_budget_for_matrix(entry.matrix),
-            int(base_budget) // 2,
-        )
+        # math can build for this table: a degraded mine must stay feasible.
+        halved = max(ShardPlan.min_budget(table), int(base_budget) // 2)
         record_degradation(
             self.metrics,
             site="service.mine_cold",
@@ -559,7 +554,7 @@ class MiningService:
         degraded = replace(
             request, config=config.with_(memory_budget_bytes=halved, plan="complete")
         )
-        return self._run_mine(entry, degraded, abs_support)
+        return self._run_mine(entry, degraded, abs_support, table)
 
     # -- persistence / maintenance ------------------------------------------
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import GPAprioriConfig, gpapriori_mine
+from repro.bitset import BitsetMatrix
+from repro.bitset.hybrid import HybridLayout
 from repro.errors import MiningError
 
 
@@ -77,6 +79,12 @@ class TestValidation:
             gpapriori_mine(small_db, 0)
         with pytest.raises(MiningError):
             gpapriori_mine(small_db, 2.0)
+
+    def test_pinned_table_of_another_database(self, small_db, paper_db):
+        matrix = BitsetMatrix.from_database(paper_db)
+        for table in (matrix, HybridLayout.from_matrix(matrix, 0.5)):
+            with pytest.raises(MiningError, match="pinned table shape"):
+                gpapriori_mine(small_db, 2, table=table)
 
 
 class TestConfigurations:

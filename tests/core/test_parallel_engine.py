@@ -425,4 +425,4 @@ class TestEndToEnd:
             ]
         )
         assert rc == 2
-        assert "--engine" in capsys.readouterr().err
+        assert "unknown option 'engine' for algorithm 'borgelt'" in capsys.readouterr().err

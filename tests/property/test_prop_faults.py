@@ -203,6 +203,28 @@ class TestRecoveryEvidence:
             assert "fault.injected" in names
             assert "service.degraded" in names
 
+    def test_hybrid_degrade_floor_holds_the_riding_bytes(self):
+        # The degraded budget is clamped at the installed table's floor:
+        # the pinned hybrid layout's tid-lists and row map plus one slab
+        # of its dense rows and the candidate scratch.
+        from repro.datasets.synthetic import dataset_analog
+
+        db = dataset_analog("T40I10D100K", scale=0.05)
+        plan = FaultPlan(
+            specs=(spec("gpusim.alloc", "device_oom", on_nth=1, max_fires=2),)
+        )
+        with MiningService(
+            workers=1,
+            layout="hybrid",
+            device_budget_bytes=100_000,
+            maintenance_interval=None,
+        ) as svc:
+            svc.register_dataset("t40", db)
+            with inject(plan):
+                response = svc.query("t40", 0.2, engine="simulated")
+            assert response.result.as_dict() == mine(db, 0.2).as_dict()
+            assert svc.metrics.counter("service.degraded.total") == 1
+
     def test_equivalence_query_degrades_to_complete_plan(self, small_db):
         # The degraded sharded run takes the complete plan. Two fires
         # exhaust the device retry (an unbounded fault, counted across

@@ -46,7 +46,7 @@ def shard_budget(db, layout: str, dense_threshold: float) -> int:
     unaligned dense rows into at most three tid-range shards."""
     matrix = BitsetMatrix.from_database(db, aligned=False)
     table = build_layout(matrix, layout, dense_threshold) or matrix
-    budget = ShardPlan.min_budget_for_matrix(matrix) + table.riding_bytes
+    budget = ShardPlan.min_budget(table)
     while ShardPlan.for_table(table, memory_budget_bytes=budget).n_shards > 3:
         budget += 4 * max(matrix.n_items, 1) * max(1, matrix.n_words // 16)
     return budget

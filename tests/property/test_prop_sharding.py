@@ -10,12 +10,14 @@ members that must chunk their launches on a tight device still mine
 the oracle's answer.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import GPAprioriConfig, gpapriori_mine
 from repro.bitset import BitsetMatrix
+from repro.core.gpapriori import generation1_table
 from repro.core.sharding import ShardPlan
+from repro.datasets import TransactionDatabase
 from tests.conftest import brute_force_frequent
 from tests.property.strategies import priced_alike, tight_device, transaction_databases
 
@@ -95,3 +97,23 @@ class TestPlanInvariants:
         plan = ShardPlan.for_table(matrix, shards=shards)
         total = sum(matrix.slice_shard(s).supports() for s in plan.shards)
         assert np.array_equal(np.asarray(total), matrix.supports())
+
+    @given(
+        transaction_databases(max_items=7, max_transactions=200),
+        st.booleans(),
+        st.sampled_from(["dense", "hybrid", "auto"]),
+        st.sampled_from([None, 0.5, 1.0]),
+    )
+    @example(TransactionDatabase([]), True, "hybrid", 1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_min_budget_always_plans(self, db, aligned, layout, threshold):
+        """Every table the driver builds plans at its floor: dense aligned
+        and unaligned, hybrid, auto, all-sparse (threshold 1.0), empty."""
+        config = GPAprioriConfig(
+            aligned=aligned,
+            layout=layout,
+            dense_threshold=None if layout == "dense" else threshold,
+        )
+        table = generation1_table(db, config)
+        plan = ShardPlan.for_table(table, memory_budget_bytes=ShardPlan.min_budget(table))
+        assert plan.shards[-1].tid_stop == db.n_transactions

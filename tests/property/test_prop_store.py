@@ -35,9 +35,7 @@ class TestMmapMiningBitIdentity:
         write_dataset(path, "prop", db)
         art = read_dataset(path)
         config = GPAprioriConfig(engine=engine)
-        via_store = gpapriori_mine(
-            art.db, min_count, config=config, matrix=art.matrix
-        )
+        via_store = gpapriori_mine(art.db, min_count, config=config, table=art.matrix)
         assert via_store.as_dict() == brute_force_frequent(db, min_count), engine
 
     @SLOW
@@ -57,10 +55,7 @@ class TestMmapMiningBitIdentity:
         write_dataset(path, "prop", db, matrix=matrix, hybrid=hybrid)
         art = read_dataset(path)
         config = GPAprioriConfig(layout="hybrid", dense_threshold=threshold)
-        via_store = gpapriori_mine(
-            art.db, min_count, config=config,
-            matrix=art.matrix, hybrid=art.hybrid,
-        )
+        via_store = gpapriori_mine(art.db, min_count, config=config, table=art.hybrid)
         assert via_store.as_dict() == brute_force_frequent(db, min_count)
 
     @SLOW

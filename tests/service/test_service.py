@@ -97,7 +97,7 @@ class TestValidation:
             service.query("toy", 2, algorithm="magic")
 
     def test_reserved_options_rejected(self, service):
-        for name in ("config", "device", "matrix"):
+        for name in ("config", "device", "table"):
             with pytest.raises(MiningError, match="managed by the service"):
                 service.query("toy", 2, **{name: object()})
 

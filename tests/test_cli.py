@@ -236,7 +236,7 @@ class TestMineCommand:
             ]
         )
         assert code == 2
-        assert "gpapriori" in capsys.readouterr().err
+        assert "unknown option 'devices' for algorithm 'borgelt'" in capsys.readouterr().err
 
     def test_shard_flags_require_gpapriori(self, fimi_file, capsys):
         code = main(
@@ -251,7 +251,7 @@ class TestMineCommand:
             ]
         )
         assert code == 2
-        assert "gpapriori" in capsys.readouterr().err
+        assert "unknown option 'shards' for algorithm 'borgelt'" in capsys.readouterr().err
 
     def test_bad_memory_budget_rejected(self):
         with pytest.raises(SystemExit):
@@ -302,8 +302,7 @@ class TestOtherCommands:
             "max_k",
             "config",
             "device",
-            "matrix",
-            "hybrid",
+            "table",
             "block_size",
             "preload_candidates",
             "unroll",
